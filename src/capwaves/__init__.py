@@ -34,6 +34,7 @@ from .dispersion import (
 )
 from .dynamics import (
     ClusterSystem,
+    Drift,
     IntegrationError,
     Regime,
     TrajectorySample,
@@ -42,10 +43,12 @@ from .dynamics import (
     characteristic_time,
     classify_regime,
     conserved_quadratics,
+    drift_report,
     dynamical_phases,
     hamiltonian,
     integrate,
     measure_period,
+    refine_minimum,
     solve_dense,
     time_derivative,
 )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analytic import (
     TriadInvariants,
@@ -34,10 +33,11 @@ from .dynamics import (
     build_system,
     characteristic_time,
     conserved_quadratics,
+    drift_report,
     dynamical_phases,
-    hamiltonian,
     integrate,
     measure_period,
+    refine_minimum,
     solve_dense,
 )
 from .resonance_search import enumerate_triads, min_positive_width, resonance_width
@@ -289,23 +289,8 @@ def check_conservation_suite() -> CheckResult:
         )
         t_end = 50.0 * characteristic_time(system, b0)
         traj = integrate(system, b0, t_end, tol=tol, samples=400)
-        h0 = traj[0].hamiltonian
-        q0 = traj[0].invariants
-        # natural magnitudes: a quadratic with cancelling signs can start near
-        # zero, so drift is measured against the size of its contributions
-        amps0 = np.abs(b0) ** 2
-        q_scale = np.maximum(np.abs(q0), np.abs(basis).astype(float) @ amps0)
-        h_scale = max(
-            abs(h0),
-            sum(
-                abs(t_.z) * abs(b0[t_.m1] * b0[t_.m2] * b0[t_.m3])
-                for t_ in system.terms
-            ),
-        )
-        h_drift = max(abs(s.hamiltonian - h0) for s in traj) / h_scale
-        q_drift = max(
-            float(np.max(np.abs(s.invariants - q0) / q_scale)) for s in traj
-        )
+        drift = drift_report(system, basis, b0, traj)
+        h_drift, q_drift = drift.hamiltonian, drift.quadratic
         details.append(f"{name}: dim {len(basis)}, H drift {h_drift:.1e}, quad drift {q_drift:.1e}")
         if h_drift >= 1e-8 or q_drift >= 1e-8:
             problems.append(f"{name}: drift H {h_drift:.2e} quad {q_drift:.2e}")
@@ -336,19 +321,9 @@ def _random_triad_state(rng, system):
 
 def _first_minimum(sol, mode, t_hi):
     """Time of the first strict interior minimum of |B_mode|² before t_hi."""
-    grid = np.linspace(0.0, t_hi, 600)
-    vals = np.abs(sol(grid)[mode]) ** 2
-    mins = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0] + 1
-    if mins.size == 0:
-        raise RuntimeError("no interior amplitude minimum found")
-    i = int(mins[0])
-    res = minimize_scalar(
-        lambda t: float(np.abs(sol(t)[mode]) ** 2),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="brent",
-        options={"xtol": 1e-13},
+    return refine_minimum(
+        lambda t: np.abs(sol(t)[mode]) ** 2, np.linspace(0.0, t_hi, 600), 1e-13, first=True
     )
-    return float(res.x)
 
 
 def check_analytic_oracle() -> CheckResult:
@@ -377,7 +352,7 @@ def check_analytic_oracle() -> CheckResult:
         period = measure_period(system, b0, t_end, tol=1e-12)
         worst_period = max(worst_period, abs(period - ell.tau) / ell.tau)
         phi0 = float(dynamical_phases(system, b0)[0])
-        phi_meas = np.array([dynamical_phases(system, sol(t))[0] for t in ts])
+        phi_meas = dynamical_phases(system, states)[0]
         keep = ~np.isnan(phi_meas)
         phi_cf = closed_form_phase(ell, inv, phi0, ts[keep], t0)
         worst_phase = max(worst_phase, float(np.max(np.abs(phi_cf - phi_meas[keep]))))

@@ -32,6 +32,7 @@ from .dynamics import (
     build_system,
     characteristic_time,
     conserved_quadratics,
+    drift_report,
     integrate,
     measure_period,
     mode_labels,
@@ -243,7 +244,8 @@ def cmd_simulate(config: RunConfig) -> int:
     t_end = config.t_end * t_char
     samples = integrate(system, state0, t_end, tol=config.tol, samples=config.samples)
     labels = mode_labels(system)
-    n_inv = len(conserved_quadratics(system))
+    basis = conserved_quadratics(system)
+    n_inv = len(basis)
     header = ["t"]
     for label in labels:
         header += [f"re_{label}", f"im_{label}", f"abs2_{label}"]
@@ -262,11 +264,7 @@ def cmd_simulate(config: RunConfig) -> int:
         rows.append(",".join(cols))
     (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
 
-    q0 = samples[0].invariants
-    q_scale = np.maximum(np.abs(q0), 1e-12)
-    drift = max(float(np.max(np.abs(s.invariants - q0) / q_scale)) for s in samples)
-    h0 = samples[0].hamiltonian
-    h_drift = max(abs(s.hamiltonian - h0) for s in samples) / max(abs(h0), 1e-12)
+    drift = drift_report(system, basis, state0, samples)
     phases = np.array([s.phases for s in samples])
     defined = phases[~np.isnan(phases)]
     lock = float(np.max(np.minimum(np.abs(defined), np.pi - np.abs(defined)))) if defined.size else float("nan")
@@ -277,7 +275,9 @@ def cmd_simulate(config: RunConfig) -> int:
         period_text = "n/a"
     print(f"trajectory written to {out}/trajectory.csv ({config.samples} samples)")
     print(f"characteristic time {t_char:.6g}, t_end {t_end:.6g}")
-    print(f"max invariant drift {drift:.3e}, Hamiltonian drift {h_drift:.3e}")
+    print(
+        f"max invariant drift {drift.quadratic:.3e}, Hamiltonian drift {drift.hamiltonian:.3e}"
+    )
     print(f"phase lock residual {lock:.3e}, detected period {period_text}")
     return 0
 

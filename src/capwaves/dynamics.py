@@ -8,14 +8,20 @@ on its three mode slots; slots are shared between triads according to the
 cluster's shared wavenumber values, which couples the systems.  The
 Hamiltonian is the coupling-weighted sum of the triple-product imaginaries
 (for a single triad this is Z Im(B1 B2 B3*), i.e. Z times the bare
-triple-product invariant).  Quadratic invariants are obtained exactly as the
-rational null space of the transposed signed incidence matrix between modes
-and triads.
+triple-product invariant).  Quadratic invariants are obtained by exact integer
+elimination as the null space of the transposed signed incidence matrix
+between modes and triads.
 
 Integration is an explicit adaptive Runge-Kutta scheme with an embedded
 error estimate (scipy's DOP853) and dense output; conserved quantities are
 monitored along the trajectory, never projected, so their drift doubles as a
 global accuracy meter.
+
+The right-hand side loops over the triads on Python complex numbers: cheaper
+per call than numpy scalars at every size, and than a numpy gather for small
+clusters and isolated triads.  Everything evaluated along a trajectory
+(Hamiltonian, phases, invariants, period grids) works on whole sample grids
+at once.
 
 A ClusterSystem is immutable once built and can be shared across threads;
 every integration owns its state.
@@ -27,7 +33,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,15 +48,18 @@ __all__ = [
     "TrajectorySample",
     "IntegrationError",
     "Regime",
+    "Drift",
     "build_system",
     "time_derivative",
     "hamiltonian",
     "conserved_quadratics",
     "dynamical_phases",
+    "drift_report",
     "solve_dense",
     "integrate",
     "characteristic_time",
     "measure_period",
+    "refine_minimum",
     "classify_regime",
     "mode_labels",
 ]
@@ -87,6 +96,17 @@ class ClusterSystem:
     @property
     def n_triads(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def term_rows(self) -> tuple[tuple[int, int, int, float], ...]:
+        """(m1, m2, m3, z) of every triad as Python scalars, for the RHS loop."""
+        return tuple((t.m1, t.m2, t.m3, t.z) for t in self.terms)
+
+    @cached_property
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slot indices (3, N), rows m1, m2, m3, and couplings z (N,), for array evaluation."""
+        m1, m2, m3, z = zip(*self.term_rows)
+        return np.array([m1, m2, m3]), np.array(z, dtype=float)
 
 
 class IntegrationError(RuntimeError):
@@ -172,33 +192,50 @@ def mode_labels(system: ClusterSystem) -> list[str]:
     return labels
 
 
+def _rhs(
+    rows: tuple[tuple[int, int, int, float], ...], n_modes: int, state: np.ndarray
+) -> np.ndarray:
+    """The per-triad right-hand-side loop, on Python complex numbers."""
+    b = state.tolist()
+    out = [0j] * n_modes
+    for m1, m2, m3, z in rows:
+        b1, b2, b3 = b[m1], b[m2], b[m3]
+        out[m1] += z * b2.conjugate() * b3
+        out[m2] += z * b1.conjugate() * b3
+        out[m3] -= z * b1 * b2
+    return np.array(out)
+
+
 def time_derivative(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
     """Right-hand side of the cluster ODE for a complex state vector."""
     state = np.asarray(state)
     if state.shape != (system.n_modes,):
         raise ValueError(f"state must have shape ({system.n_modes},), got {state.shape}")
-    out = np.zeros(system.n_modes, dtype=complex)
-    for term in system.terms:
-        b1, b2, b3 = state[term.m1], state[term.m2], state[term.m3]
-        out[term.m1] += term.z * np.conj(b2) * b3
-        out[term.m2] += term.z * np.conj(b1) * b3
-        out[term.m3] -= term.z * b1 * b2
-    return out
+    return _rhs(system.term_rows, system.n_modes, state)
 
 
-def hamiltonian(system: ClusterSystem, state: np.ndarray) -> float:
-    """Coupling-weighted Hamiltonian sum_j Z_j Im(B1 B2 B3*) over the triads."""
-    state = np.asarray(state)
-    return float(
-        sum(
-            term.z * (state[term.m1] * state[term.m2] * np.conj(state[term.m3])).imag
-            for term in system.terms
-        )
-    )
+def _triple_products(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
+    """B1 B2 B3* of every triad: shape (N,) for an (M,) state, (N, T) for (M, T)."""
+    b = np.asarray(state)[system.term_arrays[0]]
+    return b[0] * b[1] * np.conj(b[2])
 
 
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0} by exact Gauss-Jordan elimination."""
+def hamiltonian(system: ClusterSystem, state: np.ndarray) -> float | np.ndarray:
+    """Coupling-weighted Hamiltonian sum_j Z_j Im(B1 B2 B3*) over the triads.
+
+    A float for an (M,) state, one value per column for an (M, T) state.
+    """
+    h = system.term_arrays[1] @ _triple_products(system, state).imag
+    return float(h) if h.ndim == 0 else h
+
+
+def _integer_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of {x : rows @ x = 0} by fraction-free Gauss-Jordan.
+
+    Each vector is the free-column solution of the reduced row echelon form,
+    scaled to coprime integers with a positive leading entry.  The reduced
+    form is unique, so this is the basis exact rational elimination gives.
+    """
     rows = [row[:] for row in rows]
     nrows = len(rows)
     pivots: list[int] = []
@@ -208,12 +245,14 @@ def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fra
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[col]
         for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and f != 0:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = math.gcd(*row) or 1
+                rows[i] = [a // g for a in row]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -222,10 +261,18 @@ def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fra
     for free_col in range(ncols):
         if free_col in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[free_col] = Fraction(1)
-        for rr, pivot_col in enumerate(pivots):
-            v[pivot_col] = -rows[rr][free_col]
+        # x[free] = 1 and x[pivot] = -rows[rr][free] / rows[rr][pivot], times
+        # the common denominator
+        used = [(rr, c) for rr, c in enumerate(pivots) if rows[rr][free_col] != 0]
+        denom = math.lcm(*(rows[rr][c] for rr, c in used)) if used else 1
+        v = [0] * ncols
+        v[free_col] = denom
+        for rr, c in used:
+            v[c] = -rows[rr][free_col] * (denom // rows[rr][c])
+        g = math.gcd(*v)
+        v = [x // g for x in v]
+        if next(x for x in v if x != 0) < 0:
+            v = [-x for x in v]
         basis.append(v)
     return basis
 
@@ -234,23 +281,13 @@ def conserved_quadratics(system: ClusterSystem) -> np.ndarray:
     """Integer basis of the conserved quadratics sum_m c_m |B_m|².
 
     The coefficient vectors span the null space of the transposed incidence
-    matrix, computed over exact rationals and scaled to primitive integer
-    form.  The dimension is M - rank(S); with a full-rank incidence (true for
-    all published cluster topologies) this equals 2N - n, the Manley-Rowe
-    count for N triads with n shared-mode identifications.
+    matrix, computed by exact integer elimination in primitive integer form.
+    The dimension is M - rank(S); with a full-rank incidence (true for all
+    published cluster topologies) this equals 2N - n, the Manley-Rowe count
+    for N triads with n shared-mode identifications.
     """
-    s_t = [[Fraction(int(x)) for x in row] for row in system.incidence.T]
-    basis = _rational_nullspace(s_t, system.n_modes)
-    out = np.zeros((len(basis), system.n_modes), dtype=np.int64)
-    for i, vec in enumerate(basis):
-        scale = math.lcm(*(f.denominator for f in vec)) if vec else 1
-        ints = [int(f * scale) for f in vec]
-        g = math.gcd(*(abs(x) for x in ints if x != 0)) or 1
-        ints = [x // g for x in ints]
-        lead = next((x for x in ints if x != 0), 1)
-        if lead < 0:
-            ints = [-x for x in ints]
-        out[i] = ints
+    basis = _integer_nullspace(system.incidence.T.tolist(), system.n_modes)
+    out = np.array(basis, dtype=np.int64).reshape(len(basis), system.n_modes)
     expected = 2 * system.n_triads - (3 * system.n_triads - system.n_modes)
     if len(basis) != expected:
         warnings.warn(
@@ -265,18 +302,51 @@ def dynamical_phases(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
     """Per-triad dynamical phase theta1 + theta2 - theta3, wrapped to (-pi, pi].
 
     Computed as the argument of the triple product B1 B2 B3*, which performs
-    the wrapping exactly; NaN marks triads with a zero amplitude, where the
-    phase is undefined.
+    the wrapping exactly; NaN marks triads with a zero amplitude (a zero
+    triple product), where the phase is undefined.  Shape (N,) for an (M,)
+    state, (N, T) for an (M, T) state.
     """
-    state = np.asarray(state)
-    phases = np.empty(system.n_triads)
-    for j, term in enumerate(system.terms):
-        b1, b2, b3 = state[term.m1], state[term.m2], state[term.m3]
-        if b1 == 0 or b2 == 0 or b3 == 0:
-            phases[j] = np.nan
-        else:
-            phases[j] = np.angle(b1 * b2 * np.conj(b3))
+    triple = _triple_products(system, state)
+    phases = np.arctan2(triple.imag, triple.real)
+    phases[triple == 0] = np.nan
     return phases
+
+
+@dataclass(frozen=True)
+class Drift:
+    """Largest relative drift of the Hamiltonian and of the conserved quadratics."""
+
+    hamiltonian: float
+    quadratic: float
+
+
+def drift_report(
+    system: ClusterSystem,
+    basis: np.ndarray,
+    initial: np.ndarray,
+    trajectory: list[TrajectorySample],
+) -> Drift:
+    """Drift of the conserved quantities along a trajectory, against natural magnitudes.
+
+    A quadratic with cancelling signs can start near zero, so each quantity
+    is measured against the size of its contributions at the initial state:
+    sum_m |c_m| |B_m|² for a quadratic, sum_j |Z_j| |B1 B2 B3| for the
+    Hamiltonian, or the initial value where that is larger.  A quantity whose
+    contributions all vanish initially has no natural magnitude and is
+    measured in absolute terms.
+    """
+    b0 = np.asarray(initial)
+    index, z = system.term_arrays
+    b = b0[index]
+    h = np.array([s.hamiltonian for s in trajectory])
+    q = np.array([s.invariants for s in trajectory])
+    h_scale = max(abs(h[0]), float(np.abs(z) @ np.abs(b[0] * b[1] * b[2])))
+    q_scale = np.maximum(np.abs(q[0]), np.abs(basis).astype(float) @ (np.abs(b0) ** 2))
+    q_scale[q_scale == 0.0] = 1.0
+    return Drift(
+        hamiltonian=float(np.max(np.abs(h - h[0]))) / (h_scale or 1.0),
+        quadratic=float(np.max(np.abs(q - q[0]) / q_scale, initial=0.0)),
+    )
 
 
 def characteristic_time(system: ClusterSystem, initial: np.ndarray) -> float:
@@ -300,8 +370,9 @@ def solve_dense(system: ClusterSystem, initial: np.ndarray, t_end: float, tol: f
     if initial.shape != (system.n_modes,):
         raise ValueError(f"initial state must have shape ({system.n_modes},)")
     scale = max(float(np.max(np.abs(initial))), 1.0)
+    rows, n_modes = system.term_rows, system.n_modes
     sol = solve_ivp(
-        lambda t, y: time_derivative(system, y),
+        lambda t, y: _rhs(rows, n_modes, y),
         (0.0, t_end),
         initial,
         method="DOP853",
@@ -336,22 +407,44 @@ def integrate(
         raise ValueError(f"t_end must be positive, got {t_end}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sol = solve_dense(system, initial, t_end, tol)
-    basis = conserved_quadratics(system).astype(float)
     times = np.linspace(0.0, t_end, samples)
-    out = []
-    for t in times:
-        state = sol(t)
-        out.append(
-            TrajectorySample(
-                t=float(t),
-                state=state.copy(),
-                hamiltonian=hamiltonian(system, state),
-                invariants=basis @ np.abs(state) ** 2,
-                phases=dynamical_phases(system, state),
-            )
-        )
-    return out
+    # the dense solution is dropped once sampled, before the block evaluations
+    states = solve_dense(system, initial, t_end, tol)(times)
+    basis = conserved_quadratics(system).astype(float)
+    hams = hamiltonian(system, states)
+    invariants = np.abs(states.T) ** 2 @ basis.T
+    phases = dynamical_phases(system, states).T
+    return [
+        TrajectorySample(t=float(t), state=state, hamiltonian=float(h), invariants=q, phases=phi)
+        for t, state, h, q, phi in zip(times, states.T, hams, invariants, phases)
+    ]
+
+
+def _interior_minimum(vals: np.ndarray, first: bool = False) -> int:
+    """Index of the lowest (or the earliest) strict interior minimum of samples."""
+    mins = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
+    if mins.size == 0:
+        raise ValueError("no strict interior minimum on the grid")
+    return int(mins[0] if first else mins[np.argmin(vals[mins])])
+
+
+def refine_minimum(rho, grid: np.ndarray, xtol: float, first: bool = False) -> float:
+    """Brent-refined minimum of a signal, started from a strict interior grid minimum.
+
+    ``rho`` maps a time, or an array of times, to the signal; the grid is
+    sampled in one call.  Brent starts from the lowest strict interior
+    minimum of the samples (the earliest one with ``first``), whose two grid
+    neighbours are a valid bracket; a minimum on the edge of the grid is never
+    used.  Raises ValueError when the samples have no strict interior minimum.
+    """
+    i = _interior_minimum(rho(grid), first)
+    res = minimize_scalar(
+        lambda t: float(rho(t)),
+        bracket=(grid[i - 1], grid[i], grid[i + 1]),
+        method="brent",
+        options={"xtol": xtol},
+    )
+    return float(res.x)
 
 
 def measure_period(
@@ -371,40 +464,33 @@ def measure_period(
     if mode is None:
         mode = system.terms[0].m3
     sol = solve_dense(system, np.asarray(initial, dtype=complex), t_end, tol)
+
+    def rho(t):
+        return np.abs(sol(t)[mode]) ** 2
+
     ngrid = 8192
     ts = np.linspace(0.0, t_end, ngrid)
-    rho = np.abs(sol(ts)[mode]) ** 2
-    x = rho - rho.mean()
-    if np.max(np.abs(x)) < 1e-14 * max(np.max(rho), 1.0):
+    vals = rho(ts)
+    x = vals - vals.mean()
+    if np.max(np.abs(x)) < 1e-14 * max(np.max(vals), 1.0):
         raise ValueError("signal is constant; no period to measure")
-    acf = np.correlate(x, x, mode="full")[ngrid - 1 :]
+    # autocorrelation at lags 0..ngrid-1, zero-padded against circular wrap
+    spec = np.fft.rfft(x, 2 * ngrid)
+    acf = np.fft.irfft(spec.real**2 + spec.imag**2, 2 * ngrid)[:ngrid]
     peaks = np.where((acf[1:-1] > acf[:-2]) & (acf[1:-1] > acf[2:]))[0] + 1
     peaks = peaks[acf[peaks] > 0.5 * acf[0]]
     if peaks.size == 0:
         raise ValueError("no periodicity detected within t_end")
     coarse = ts[peaks[0]]
 
-    def rho_at(t: float) -> float:
-        return float(np.abs(sol(t)[mode]) ** 2)
-
     def refine_min(center: float) -> float:
         lo = max(center - 0.35 * coarse, 0.0)
         hi = min(center + 0.35 * coarse, t_end)
-        grid = np.linspace(lo, hi, 201)
-        vals = np.array([rho_at(g) for g in grid])
-        i = int(np.argmin(vals))
-        i = min(max(i, 1), len(grid) - 2)
-        res = minimize_scalar(
-            rho_at, bracket=(grid[i - 1], grid[i], grid[i + 1]), method="brent",
-            options={"xtol": 1e-12},
-        )
-        return float(res.x)
+        return refine_minimum(rho, np.linspace(lo, hi, 201), 1e-12)
 
-    # first minimum after an initial transient-free stretch, then its successor
+    # a minimum within the first coarse period, then its successor
     grid0 = np.linspace(0.0, coarse * 1.05, 301)
-    vals0 = np.array([rho_at(g) for g in grid0])
-    i0 = int(np.argmin(vals0))
-    t_first = refine_min(grid0[i0])
+    t_first = refine_min(grid0[_interior_minimum(rho(grid0))])
     if t_first + 1.2 * coarse > t_end:
         raise ValueError("t_end too short to bracket two minima")
     t_second = refine_min(t_first + coarse)

@@ -14,6 +14,7 @@ from capwaves import (
     complete_elliptic_K,
     dynamical_phases,
     jacobi_elliptic,
+    refine_minimum,
     solve_dense,
     triad_elliptic_params,
 )
@@ -145,18 +146,9 @@ def triad_setup(triads_by_wn):
 
 
 def _first_minimum_time(sol, t_hi):
-    from scipy.optimize import minimize_scalar
-
-    grid = np.linspace(0.0, t_hi, 600)
-    vals = np.abs(sol(grid)[2]) ** 2
-    mins = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0] + 1
-    i = int(mins[0])
-    res = minimize_scalar(
-        lambda t: float(np.abs(sol(t)[2]) ** 2),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        options={"xtol": 1e-13},
+    return refine_minimum(
+        lambda t: np.abs(sol(t)[2]) ** 2, np.linspace(0.0, t_hi, 600), 1e-13, first=True
     )
-    return float(res.x)
 
 
 class TestClosedFormAmplitudes:

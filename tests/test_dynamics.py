@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capwaves import (
     ClusterSystem,
+    FluidParams,
     Regime,
     TriadInvariants,
     build_clusters,
@@ -13,6 +17,7 @@ from capwaves import (
     classify_regime,
     conserved_quadratics,
     dynamical_phases,
+    enumerate_triads,
     hamiltonian,
     integrate,
     measure_period,
@@ -20,7 +25,9 @@ from capwaves import (
     time_derivative,
     triad_elliptic_params,
 )
-from capwaves.dynamics import TriadTerm, mode_labels
+from capwaves.dynamics import TriadTerm, drift_report, mode_labels, refine_minimum
+
+REFERENCE_TOPOLOGIES = ["triad_system", "pp_butterfly", "aa_butterfly", "three_star", "four_star"]
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +60,24 @@ def three_star(triads_by_wn):
     return build_system(cluster)
 
 
+@pytest.fixture(scope="module")
+def four_star(triads_by_wn):
+    star = [(48, 48, 96), (47, 49, 96), (28, 96, 124), (46, 50, 96)]
+    [cluster] = build_clusters([triads_by_wn[k] for k in star], 1e-3)
+    return build_system(cluster)
+
+
+def _random_states(system, count, seed):
+    """Random complex states, a few with exactly zero amplitudes."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(0.2, 1.5, (count, system.n_modes)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (count, system.n_modes))
+    )
+    states[::4, 0] = 0.0
+    states[1::4, -1] = 0.0
+    return states
+
+
 class TestBuildSystem:
     def test_isolated_triad(self, triad_system):
         assert triad_system.n_modes == 3
@@ -76,12 +101,9 @@ class TestBuildSystem:
         slots = {t.m3 for t in three_star.terms}
         assert len(slots) == 1
 
-    def test_four_star(self, triads_by_wn):
-        star = [(48, 48, 96), (47, 49, 96), (28, 96, 124), (46, 50, 96)]
-        [cluster] = build_clusters([triads_by_wn[k] for k in star], 1e-3)
-        system = build_system(cluster)
-        assert system.n_modes == 9
-        assert np.linalg.matrix_rank(system.incidence.astype(float)) == 4
+    def test_four_star(self, four_star):
+        assert four_star.n_modes == 9
+        assert np.linalg.matrix_rank(four_star.incidence.astype(float)) == 4
 
     def test_duplicated_and_shared_value_rejected(self, triads_by_wn):
         # (5,5,10) duplicates 5 internally while (4,5,9) shares it
@@ -140,6 +162,22 @@ class TestTimeDerivative:
         with pytest.raises(ValueError):
             time_derivative(triad_system, np.zeros(4, complex))
 
+    @pytest.mark.parametrize("fixture_name", REFERENCE_TOPOLOGIES)
+    def test_bit_identical_to_numpy_scalar_loop(self, request, fixture_name):
+        system = request.getfixturevalue(fixture_name)
+
+        def reference(state):
+            out = np.zeros(system.n_modes, dtype=complex)
+            for term in system.terms:
+                b1, b2, b3 = state[term.m1], state[term.m2], state[term.m3]
+                out[term.m1] += term.z * np.conj(b2) * b3
+                out[term.m2] += term.z * np.conj(b1) * b3
+                out[term.m3] -= term.z * b1 * b2
+            return out
+
+        for state in _random_states(system, 40, seed=31):
+            assert time_derivative(system, state).tobytes() == reference(state).tobytes()
+
     def test_matches_finite_differences_of_trajectory(self, triad_system):
         b0 = np.array([1.0, 0.8 * np.exp(0.4j), 0.5 * np.exp(-0.3j)])
         sol = solve_dense(triad_system, b0, 2.0, 1e-12)
@@ -185,6 +223,99 @@ class TestHamiltonian:
         )
         values = [hamiltonian(corrupted, s.state) for s in traj]
         assert max(abs(v - values[0]) for v in values) > 1e-3
+
+
+class TestTrajectoryArrays:
+    """Hamiltonian and phases on an (M, T) state array equal per-column calls."""
+
+    @pytest.mark.parametrize("fixture_name", REFERENCE_TOPOLOGIES)
+    def test_columns_match_single_states(self, request, fixture_name):
+        system = request.getfixturevalue(fixture_name)
+        states = _random_states(system, 24, seed=37).T  # (M, T)
+        hams = hamiltonian(system, states)
+        phases = dynamical_phases(system, states)
+        assert hams.shape == (states.shape[1],)
+        assert phases.shape == (system.n_triads, states.shape[1])
+        for i in range(states.shape[1]):
+            assert hams[i] == pytest.approx(hamiltonian(system, states[:, i]), rel=1e-14, abs=1e-15)
+            np.testing.assert_array_equal(phases[:, i], dynamical_phases(system, states[:, i]))
+        # NaN marks exactly the triads with a zero amplitude
+        slots = np.array([[t.m1, t.m2, t.m3] for t in system.terms]).T
+        undefined = (states[slots] == 0).any(axis=0)
+        assert undefined.any()
+        np.testing.assert_array_equal(np.isnan(phases), undefined)
+
+    def test_integrate_samples_match_single_state_evaluation(self, three_star):
+        rng = np.random.default_rng(41)
+        b0 = rng.uniform(0.4, 1.2, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        traj = integrate(three_star, b0, 5.0 * characteristic_time(three_star, b0), samples=50)
+        basis = conserved_quadratics(three_star).astype(float)
+        for s in traj:
+            assert s.hamiltonian == pytest.approx(hamiltonian(three_star, s.state), rel=1e-12)
+            np.testing.assert_allclose(s.invariants, basis @ np.abs(s.state) ** 2, rtol=1e-13)
+            np.testing.assert_array_equal(s.phases, dynamical_phases(three_star, s.state))
+
+
+def _fraction_basis(system):
+    """Exact rational Gauss-Jordan null space of S^T, scaled to primitive integers."""
+    rows = [[Fraction(int(x)) for x in row] for row in system.incidence.T]
+    ncols = system.n_modes
+    pivots, r = [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for free_col in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free_col] = Fraction(1)
+        for rr, pivot_col in enumerate(pivots):
+            v[pivot_col] = -rows[rr][free_col]
+        ints = [int(f * math.lcm(*(g.denominator for g in v))) for f in v]
+        g = math.gcd(*ints)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x != 0) < 0:
+            ints = [-x for x in ints]
+        basis.append(ints)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
+
+
+@pytest.fixture(scope="module")
+def clusters_1e3(triads_100):
+    return [c for c in build_clusters(triads_100, 1e-3) if c.size > 1]
+
+
+class TestConservedQuadraticsExactness:
+    @pytest.mark.parametrize("fixture_name", REFERENCE_TOPOLOGIES)
+    def test_matches_rational_elimination(self, request, fixture_name):
+        system = request.getfixturevalue(fixture_name)
+        np.testing.assert_array_equal(conserved_quadratics(system), _fraction_basis(system))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_sub_clusters_match_rational_elimination(self, clusters_1e3, data):
+        cluster = data.draw(st.sampled_from(clusters_1e3))
+        subset = data.draw(
+            st.lists(st.sampled_from(cluster.triads), min_size=1, unique=True)
+        )
+        for part in build_clusters(subset, 1e-3):
+            try:
+                system = build_system(part)
+            except ValueError:  # a doubled value shared with another triad
+                continue
+            basis = conserved_quadratics(system)
+            np.testing.assert_array_equal(basis, _fraction_basis(system))
+            assert not (system.incidence.T @ basis.T).any()
 
 
 class TestConservedQuadratics:
@@ -330,6 +461,67 @@ class TestPeriodMeasurement:
     def test_constant_signal_rejected(self, triad_system):
         with pytest.raises(ValueError):
             measure_period(triad_system, np.array([1.0, 0.0, 0.0], complex), 10.0)
+
+    @pytest.mark.parametrize("phi", [np.pi / 2, -np.pi / 2])
+    @pytest.mark.parametrize("index", range(12))
+    def test_turning_point_at_t0(self, phi, index):
+        # |B3|² has a turning point at t = 0, so the lowest sample of the
+        # first period can sit on the edge of the search grid
+        triad = enumerate_triads(12, FluidParams(1.0))[index]
+        [cluster] = build_clusters([triad], 1e-3)
+        system = build_system(cluster)
+        b0 = np.array([1.0, 0.8, 0.6 * np.exp(-1j * phi)])
+        inv = TriadInvariants.from_state(b0[0], b0[1], b0[2], triad.z)
+        tau = triad_elliptic_params(inv).tau
+        assert measure_period(system, b0, 6.8 * tau, 1e-12) == pytest.approx(tau, rel=1e-6)
+
+
+class TestRefineMinimum:
+    def test_edge_minimum_is_skipped(self):
+        # the lowest sample is the left edge; the interior minimum is at 1.5
+        grid = np.linspace(0.5, 2.0, 301)
+        rho = lambda t: np.cos(2.0 * np.pi * t)  # noqa: E731
+        assert rho(grid[0]) <= rho(grid).min()
+        assert refine_minimum(rho, grid, 1e-12) == pytest.approx(1.5, abs=1e-6)
+
+    def test_lowest_or_first_interior_minimum(self):
+        grid = np.linspace(0.2, 2.3, 400)
+        rho = lambda t: np.cos(2.0 * np.pi * t) - 0.1 * t  # noqa: E731
+        lowest = refine_minimum(rho, grid, 1e-12)
+        first = refine_minimum(rho, grid, 1e-12, first=True)
+        assert first == pytest.approx(0.5, abs=0.01)
+        assert lowest == pytest.approx(1.5, abs=0.01)
+
+    def test_no_interior_minimum_rejected(self):
+        with pytest.raises(ValueError, match="no strict interior minimum"):
+            refine_minimum(np.exp, np.linspace(0.0, 1.0, 50), 1e-12)
+
+
+class TestDriftReport:
+    def test_natural_magnitudes(self, four_star):
+        rng = np.random.default_rng(43)
+        b0 = rng.uniform(0.4, 1.2, 9) * np.exp(1j * rng.uniform(-np.pi, np.pi, 9))
+        traj = integrate(four_star, b0, 20.0 * characteristic_time(four_star, b0), samples=200)
+        basis = conserved_quadratics(four_star)
+        drift = drift_report(four_star, basis, b0, traj)
+        q0 = traj[0].invariants
+        q_scale = np.maximum(np.abs(q0), np.abs(basis) @ np.abs(b0) ** 2)
+        q_drift = max(float(np.max(np.abs(s.invariants - q0) / q_scale)) for s in traj)
+        h0 = traj[0].hamiltonian
+        h_scale = max(
+            abs(h0), sum(abs(t.z * b0[t.m1] * b0[t.m2] * b0[t.m3]) for t in four_star.terms)
+        )
+        h_drift = max(abs(s.hamiltonian - h0) for s in traj) / h_scale
+        assert drift.quadratic == pytest.approx(q_drift, rel=1e-12)
+        assert drift.hamiltonian == pytest.approx(h_drift, rel=1e-12)
+        assert 0.0 < drift.quadratic < 1e-8 and 0.0 < drift.hamiltonian < 1e-8
+
+    def test_quantities_without_magnitude_are_absolute(self, triad_system):
+        # a fixed point: the Hamiltonian and one quadratic have no contribution
+        b0 = np.array([0.9, 0.0, 0.0], complex)
+        traj = integrate(triad_system, b0, 5.0, samples=20)
+        drift = drift_report(triad_system, conserved_quadratics(triad_system), b0, traj)
+        assert drift.hamiltonian == 0.0 and drift.quadratic == 0.0
 
 
 class TestClassifyRegime:
