@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from .dynamics import (
     measure_period,
     mode_labels,
 )
-from .resonance_search import enumerate_triads
+from .resonance_search import enumerate_triads, triad_columns
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -60,8 +61,11 @@ class RunConfig:
     initial: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0 or self.epsilon <= 0 or self.t_end <= 0 or self.tol <= 0:
-            raise ValueError("sigma, epsilon, t_end and tol must be positive")
+        reals = (self.sigma, self.epsilon, self.t_end, self.tol)
+        if not all(math.isfinite(x) and x > 0 for x in reals):
+            raise ValueError("sigma, epsilon, t_end and tol must be positive and finite")
+        if not self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.kmax < 1 or self.samples < 2 or self.cluster_id < 0:
             raise ValueError("kmax, samples and cluster_id out of range")
         if self.format not in ("csv", "json", "dot"):
@@ -150,26 +154,39 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# json.dumps spells the non-finite floats differently from repr
+_JSON_FLOAT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# one triads.json entry, laid out as json.dumps(indent=2, sort_keys=True) does
+_JSON_ROW = """    {
+      "k1": %d,
+      "k2": %d,
+      "k3": %d,
+      "omega_gen": %s,
+      "z": %s
+    }"""
+
+
 def cmd_search(config: RunConfig) -> int:
     out = _prepare_out(config)
-    triads = enumerate_triads(config.kmax, FluidParams(config.sigma))
-    lines = [
-        f"# capwaves triad table: sigma = {config.sigma}, kmax = {config.kmax}",
-        "# k1 k2 k3 omega_gen z",
-    ]
-    for t in triads:
-        lines.append(f"{t.k1} {t.k2} {t.k3} {_fmt(t.omega_gen)} {_fmt(t.z)}")
-    (out / "triads.txt").write_text("\n".join(lines) + "\n")
-    payload = {
-        "sigma": config.sigma,
-        "kmax": config.kmax,
-        "triads": [
-            {"k1": t.k1, "k2": t.k2, "k3": t.k3, "omega_gen": t.omega_gen, "z": t.z}
-            for t in triads
-        ],
-    }
-    (out / "triads.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"{len(triads)} triads written to {out}/triads.txt and triads.json")
+    k1, k2, k3, omega, z = triad_columns(config.kmax, FluidParams(config.sigma))
+    rows = list(
+        zip(k1.tolist(), k2.tolist(), k3.tolist(),
+            map(repr, omega.tolist()), map(repr, z.tolist()))
+    )
+    header = (
+        f"# capwaves triad table: sigma = {config.sigma}, kmax = {config.kmax}\n"
+        "# k1 k2 k3 omega_gen z\n"
+    )
+    (out / "triads.txt").write_text(header + "".join("%d %d %d %s %s\n" % r for r in rows))
+    entries = ",\n".join(
+        _JSON_ROW % (a, b, c, _JSON_FLOAT.get(om, om), _JSON_FLOAT.get(zz, zz))
+        for a, b, c, om, zz in rows
+    )
+    (out / "triads.json").write_text(
+        f'{{\n  "kmax": {json.dumps(config.kmax)},\n  "sigma": {json.dumps(config.sigma)},\n'
+        f'  "triads": [\n{entries}\n  ]\n}}\n'
+    )
+    print(f"{len(rows)} triads written to {out}/triads.txt and triads.json")
     return 0
 
 

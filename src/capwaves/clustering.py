@@ -3,8 +3,16 @@
 Two exact triads belong to the same cluster when a chain of pairwise links
 connects them, where a link requires (i) a shared integer wavenumber value
 and (ii) generating vorticities within relative accuracy epsilon of each
-other (measured against the larger vorticity).  Components are found with a
-union-find pass over per-value candidate lists.
+other (measured against the larger vorticity).
+
+Components are found from adjacent links only.  Every (value, triad)
+carrier is sorted once by value, then vorticity, and the link rule is tested
+on neighbouring carriers of one value.  For sorted vorticities a <= b the
+rule reads b - a < epsilon * b, and it can only fail more easily as a falls
+(also in floating point, since rounding is monotone): a pair that straddles
+a failed neighbour gap is never linked.  Every pair inside a span of passed
+neighbour gaps is chained through them, so the components equal those of the
+all-pairs rule at O(n log n) cost.
 
 Within a cluster the shared wavenumber values define the diagram edges.  A
 mode is active (A) in a triad when it is the sum mode k3, passive (P)
@@ -24,6 +32,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from .dispersion import FluidParams
 from .resonance_search import Triad
@@ -44,7 +55,7 @@ __all__ = [
 INTEGRABLE_RATIOS = (1.0, 2.0, 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connection:
     """A shared-mode edge between two triads, typed by the mode's role in each."""
 
@@ -54,7 +65,7 @@ class Connection:
     kind: str  # "AA", "AP" or "PP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterGraph:
     """A connected component of triads with its typed shared-mode edges."""
 
@@ -101,18 +112,9 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _triads_by_value(triads: list[Triad] | tuple[Triad, ...]) -> dict[int, list[int]]:
-    byval: dict[int, list[int]] = defaultdict(list)
-    for i, t in enumerate(triads):
-        byval[t.k1].append(i)
-        if t.k2 != t.k1:
-            byval[t.k2].append(i)
-        byval[t.k3].append(i)
-    return byval
-
-
-def _component_connections(component: list[Triad]) -> list[Connection]:
-    """Diagram edges of one component: AA clique / one AP per P-sharer / PP clique."""
+def _component_connections(component: tuple[Triad, ...]) -> list[Connection]:
+    """Diagram edges of one component (in Triad order): AA clique / one AP per
+    P-sharer / PP clique, per shared value."""
     roles: dict[int, tuple[list[Triad], list[Triad]]] = defaultdict(lambda: ([], []))
     for t in component:
         roles[t.k3][0].append(t)
@@ -122,21 +124,13 @@ def _component_connections(component: list[Triad]) -> list[Connection]:
     conns: list[Connection] = []
     for value in sorted(roles):
         actives, passives = roles[value]
-        if len(actives) + len(passives) < 2:
-            continue
-        actives.sort()
-        passives.sort()
-        for i in range(len(actives)):
-            for j in range(i + 1, len(actives)):
-                conns.append(connection_type(actives[i], actives[j], value))
+        for i, a in enumerate(actives):
+            conns += [Connection(a, b, value, "AA") for b in actives[i + 1:]]
         if actives:
-            rep = actives[0]
-            for p in passives:
-                conns.append(connection_type(rep, p, value))
+            conns += [Connection(actives[0], p, value, "AP") for p in passives]
         else:
-            for i in range(len(passives)):
-                for j in range(i + 1, len(passives)):
-                    conns.append(connection_type(passives[i], passives[j], value))
+            for i, a in enumerate(passives):
+                conns += [Connection(a, b, value, "PP") for b in passives[i + 1:]]
     return conns
 
 
@@ -144,39 +138,51 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     """Partition triads into clusters at vorticity accuracy epsilon.
 
     Returns every connected component, isolated triads included, sorted by
-    descending size then ascending vorticity.  The pairwise link rule makes
-    the partition refine monotonically in epsilon and keeps it independent of
-    sigma, since relative vorticity gaps do not depend on the fluid.
+    descending size then ascending vorticity; each component lists its
+    triads in Triad order.  The pairwise link rule makes the partition
+    refine monotonically in epsilon and keeps it independent of sigma, since
+    relative vorticity gaps do not depend on the fluid.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     triads = list(triads)
-    uf = _UnionFind(len(triads))
-    for _value, idxs in _triads_by_value(triads).items():
-        idxs = sorted(idxs, key=lambda i: triads[i].omega_gen)
-        oms = [triads[i].omega_gen for i in idxs]
-        for i in range(len(idxs)):
-            j = i + 1
-            while j < len(idxs) and abs(oms[j] - oms[i]) < epsilon * max(oms[j], oms[i]):
-                uf.union(idxs[i], idxs[j])
-                j += 1
-    members: dict[int, list[Triad]] = defaultdict(list)
-    for i in range(len(triads)):
-        members[uf.find(i)].append(triads[i])
+    n = len(triads)
+    k1, k2, k3, omega, z = (
+        np.fromiter(map(attrgetter(name), triads), dtype=float, count=n)
+        for name in ("k1", "k2", "k3", "omega_gen", "z")
+    )
+    # one (value, owner) carrier per distinct wavenumber of each triad
+    owner = np.arange(n)
+    doubled = k2 == k1
+    values = np.concatenate((k1, k2[~doubled], k3))
+    owners = np.concatenate((owner, owner[~doubled], owner))
+    order = np.lexsort((owners, omega[owners], values))
+    values, owners = values[order], owners[order]
+    a, b = omega[owners[:-1]], omega[owners[1:]]
+    linked = (values[1:] == values[:-1]) & (np.abs(b - a) < epsilon * np.maximum(a, b))
+    left, right = owners[:-1][linked], owners[1:][linked]
+    uf = _UnionFind(n)
+    for i, j in zip(left.tolist(), right.tolist()):
+        uf.union(i, j)
+    label = owner.copy()
+    touched = np.union1d(left, right).tolist()
+    label[touched] = [uf.find(i) for i in touched]
+    # members of each component in Triad order; components by lowest index
+    members = np.lexsort((z, omega, k3, k2, k1, label))
+    starts = np.flatnonzero(np.diff(label[members], prepend=-1)).tolist()
+    ordered = [triads[i] for i in members.tolist()]
     clusters = []
-    for comp in members.values():
-        comp.sort()
-        oms = [t.omega_gen for t in comp]
-        omega_min, omega_max = min(oms), max(oms)
-        clusters.append(
-            ClusterGraph(
-                triads=tuple(comp),
-                connections=tuple(_component_connections(comp)),
-                omega_min=omega_min,
-                omega_max=omega_max,
-                spread=(omega_max - omega_min) / omega_max,
-            )
-        )
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        if hi - lo == 1:
+            t = ordered[lo]
+            comp, conns, omega_min, omega_max = (t,), (), t.omega_gen, t.omega_gen
+        else:
+            comp = tuple(ordered[lo:hi])
+            conns = tuple(_component_connections(comp))
+            oms = [t.omega_gen for t in comp]
+            omega_min, omega_max = min(oms), max(oms)
+        spread = (omega_max - omega_min) / omega_max
+        clusters.append(ClusterGraph(comp, conns, omega_min, omega_max, spread))
     clusters.sort(key=lambda c: (-c.size, c.omega_min, c.triads))
     return clusters
 
@@ -202,12 +208,13 @@ def conservation_count(cluster: ClusterGraph) -> int:
     matches the dimension of the conserved-quadratic space (see
     :func:`capwaves.dynamics.conserved_quadratics`).
     """
-    seen = set()
+    seen: set = set()
     for c in cluster.connections:
         key = (c.triad_a, c.triad_b, c.shared_k)
-        if key in seen:
+        size = len(seen)
+        seen.add(key)  # one hash per key: a duplicate leaves the set unchanged
+        if len(seen) == size:
             raise ValueError(f"duplicate connection in cluster: {key}")
-        seen.add(key)
     count = 2 * cluster.size - identification_count(cluster)
     if count < 1:
         raise ValueError(
@@ -262,7 +269,7 @@ def clusters_to_json(
     """JSON-ready description of a clustering run (deterministic ordering)."""
     out = {"epsilon": epsilon, "sigma": params.sigma, "kmax": kmax, "clusters": []}
     for cl in clusters:
-        index = {t: i for i, t in enumerate(cl.triads)}
+        index = {t: i for i, t in enumerate(cl.triads)} if cl.connections else {}
         out["clusters"].append(
             {
                 "triads": [[t.k1, t.k2, t.k3] for t in cl.triads],

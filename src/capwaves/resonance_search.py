@@ -6,8 +6,12 @@ coefficient there.  The resonance width of a candidate pair under an
 arbitrary vorticity quantifies how far it is from exact resonance and feeds
 the exact / quasi-resonant / approximate classification.
 
-Grid enumeration is embarrassingly parallel over (k1, k2) and is implemented
-with vectorized numpy; all returned objects are immutable after construction.
+Enumeration is columnar: :func:`triad_columns` evaluates the closed-form
+vorticity and the coupling over the whole (k1 <= k2) grid with vectorized
+numpy and returns the sorted columns (k1, k2, k3, omega_gen, z).  Writers that
+only format rows read those columns directly; :func:`enumerate_triads` turns
+them into immutable :class:`Triad` records for everything that works per
+triad.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .dispersion import (
     RESONANCE_REL_TOL,
     FluidParams,
     branch_frequency,
+    coupling_coefficient,
     resonant_vorticity,
 )
 
@@ -29,6 +34,7 @@ __all__ = [
     "Triad",
     "InteractionKind",
     "InteractionClass",
+    "triad_columns",
     "enumerate_triads",
     "resonance_width",
     "min_positive_width",
@@ -37,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triad:
     """Exact resonance (k1, k2, k3=k1+k2) with generating vorticity and coupling.
 
@@ -83,12 +89,14 @@ class InteractionClass:
     delta: float
 
 
-def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
-    """All exact triads with 1 <= k1 <= k2 <= kmax, sorted by generating vorticity.
+def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
+    """Columns (k1, k2, k3, omega_gen, z) of every exact triad with 1 <= k1 <= k2 <= kmax.
 
+    Rows are sorted by generating vorticity, ties broken by (k1, k2).
     k3 = k1 + k2 is deliberately not clipped to kmax: clusters of interest
-    contain sum modes beyond the search domain.  The result has exactly
-    kmax (kmax + 1) / 2 entries.
+    contain sum modes beyond the search domain.  Each column has exactly
+    kmax (kmax + 1) / 2 entries; the coupling is taken at each triad's own
+    generating vorticity.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be a positive integer, got {kmax}")
@@ -98,16 +106,18 @@ def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
     k2 = k2g[keep]
     k3 = k1 + k2
     omega = resonant_vorticity(k1, k2, params)
-    # coupling taken at each triad's own generating vorticity
-    w1 = np.sqrt(params.sigma * k1.astype(float) ** 3 + omega**2 / 4.0)
-    w2 = np.sqrt(params.sigma * k2.astype(float) ** 3 + omega**2 / 4.0)
-    w3 = np.sqrt(params.sigma * k3.astype(float) ** 3 + omega**2 / 4.0)
-    z = np.sqrt(k1 * k2 * k3 / (np.pi * w1 * w2 * w3)) * (-w1 * w2 / 2.0 + omega / 4.0 * w3)
+    z = coupling_coefficient(k1, k2, k3, omega, params, check_resonant=False)
     order = np.lexsort((k2, k1, omega))
-    return [
-        Triad(int(k1[i]), int(k2[i]), int(k3[i]), float(omega[i]), float(z[i]))
-        for i in order
-    ]
+    return k1[order], k2[order], k3[order], omega[order], z[order]
+
+
+def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
+    """All exact triads with 1 <= k1 <= k2 <= kmax, sorted by generating vorticity.
+
+    The rows of :func:`triad_columns` as :class:`Triad` records.
+    """
+    columns = [c.tolist() for c in triad_columns(kmax, params)]
+    return [Triad(*row) for row in zip(*columns)]
 
 
 def resonance_width(k1: int, k2: int, omega_cap: float, params: FluidParams) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,29 @@ class TestConfig:
             RunConfig(format="xml")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma", "nan"],
+            ["--sigma", "inf"],
+            ["--epsilon", "1.5"],
+            ["--epsilon", "1.0"],
+            ["--epsilon", "nan"],
+            ["--t-end", "inf"],
+            ["--tol", "nan"],
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, flags):
+        code = main(["cluster", "--kmax", "5", "--out", str(tmp_path / "run"), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+
 class TestSearch:
     def test_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -74,6 +98,81 @@ class TestSearch:
         main(["search", "--kmax", "20", "--sigma", "1.0", "--out", str(out2)])
         assert (out1 / "triads.txt").read_bytes() == (out2 / "triads.txt").read_bytes()
         assert (out1 / "triads.json").read_bytes() == (out2 / "triads.json").read_bytes()
+
+
+def _search_payload_reference(sigma: float, kmax: int) -> tuple[str, str]:
+    """triads.txt and triads.json as formatted from Triad records with json.dumps."""
+    triads = enumerate_triads(kmax, FluidParams(sigma))
+    lines = [f"# capwaves triad table: sigma = {sigma}, kmax = {kmax}", "# k1 k2 k3 omega_gen z"]
+    lines += [f"{t.k1} {t.k2} {t.k3} {t.omega_gen!r} {t.z!r}" for t in triads]
+    payload = {
+        "sigma": sigma,
+        "kmax": kmax,
+        "triads": [
+            {"k1": t.k1, "k2": t.k2, "k3": t.k3, "omega_gen": t.omega_gen, "z": t.z}
+            for t in triads
+        ],
+    }
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestSearchWriter:
+    @pytest.mark.parametrize("kmax", [1, 7, 100])
+    @pytest.mark.parametrize("sigma", [7.23e-5, 0.0123, 1.0])
+    def test_matches_json_dumps(self, tmp_path, capsys, sigma, kmax):
+        out = tmp_path / "run"
+        assert main(["search", "--kmax", str(kmax), "--sigma", repr(sigma), "--out", str(out)]) == 0
+        text, payload = _search_payload_reference(sigma, kmax)
+        assert (out / "triads.txt").read_text() == text
+        assert (out / "triads.json").read_text() == payload
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e-320, 5e-324])
+    def test_non_finite_columns_spelled_as_json_does(self, tmp_path, capsys, sigma):
+        # a subnormal sigma overflows the coupling: json.dumps writes
+        # Infinity / NaN where repr writes inf / nan
+        out = tmp_path / "run"
+        assert main(["search", "--kmax", "12", "--sigma", repr(sigma), "--out", str(out)]) == 0
+        text, payload = _search_payload_reference(sigma, 12)
+        assert "Infinity" in payload or "NaN" in payload
+        assert (out / "triads.txt").read_text() == text
+        assert (out / "triads.json").read_text() == payload
+
+
+# sha256 of the artifacts of `capwaves search` and `capwaves cluster` at kmax
+# 100 and the default sigma, recorded from the window union-find clustering
+# and the json.dumps triad writer (numpy 2.4, x86-64 Linux); the DOT digest
+# runs over "<file name>\0<bytes>" of every diagram in name order
+GOLDEN_SEARCH = {
+    "triads.txt": "b265fad5cf188099b38450a70707f62494365128856c38186c008152276dcebf",
+    "triads.json": "e68525f8b69c41df8efc79960e4c9977254d814d7fd5140704187968d8eb389e",
+}
+GOLDEN_CLUSTER = {
+    "1e-4": ("9cdc8fbef8dc66ddd18571f958b0e34c1f6b45833beab4251cc768dcf0f1e0b3",
+             4, "e9fac92e9dc04bf570d1c0123670733aca824ad2cbd01e20e24623bc0f032b77"),
+    "1e-3": ("b6492184531c66d6a21e2b6a7f5dd9daf54e4cdb00246f1f73e14be0d6048c28",
+             159, "824d0a03567de28da58b8eb0184f03326eeaf4bbe2b1852ad5839c071d218150"),
+}
+
+
+class TestGoldenArtifacts:
+    def test_search(self, tmp_path, capsys):
+        assert main(["search", "--kmax", "100", "--out", str(tmp_path)]) == 0
+        for name, digest in GOLDEN_SEARCH.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("epsilon", sorted(GOLDEN_CLUSTER))
+    def test_cluster(self, tmp_path, capsys, epsilon):
+        assert main(["cluster", "--kmax", "100", "--epsilon", epsilon, "--out", str(tmp_path)]) == 0
+        clusters_digest, n_dots, dots_digest = GOLDEN_CLUSTER[epsilon]
+        clusters_json = (tmp_path / "clusters.json").read_bytes()
+        assert hashlib.sha256(clusters_json).hexdigest() == clusters_digest
+        dots = sorted(tmp_path.glob("cluster_*.dot"))
+        assert len(dots) == n_dots
+        h = hashlib.sha256()
+        for path in dots:
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == dots_digest
 
 
 class TestCluster:

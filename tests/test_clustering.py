@@ -1,6 +1,10 @@
 import json
+import math
+from collections import defaultdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capwaves import (
     ClusterGraph,
@@ -213,3 +217,134 @@ def test_coupling_ratio_hints():
     t3 = Triad(2, 5, 7, 1.0005, 0.37)  # ratio far from 1, 2, 1/2
     [cluster2] = build_clusters([t1, t3], 1e-2)
     assert coupling_ratio_hints(cluster2) == []
+
+
+def _reference_build_clusters(triads, epsilon):
+    """The window union-find over per-value candidate lists that build_clusters
+    replaced, kept verbatim in behaviour as the reference: every pair of a
+    value's vorticity-sorted list is tested until the first failure, and each
+    edge is typed through connection_type."""
+    triads = list(triads)
+    parent = list(range(len(triads)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    byval = defaultdict(list)
+    for i, t in enumerate(triads):
+        byval[t.k1].append(i)
+        if t.k2 != t.k1:
+            byval[t.k2].append(i)
+        byval[t.k3].append(i)
+    for idxs in byval.values():
+        idxs = sorted(idxs, key=lambda i: triads[i].omega_gen)
+        oms = [triads[i].omega_gen for i in idxs]
+        for i in range(len(idxs)):
+            j = i + 1
+            while j < len(idxs) and abs(oms[j] - oms[i]) < epsilon * max(oms[j], oms[i]):
+                ra, rb = find(idxs[i]), find(idxs[j])
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+                j += 1
+    members = defaultdict(list)
+    for i in range(len(triads)):
+        members[find(i)].append(triads[i])
+    clusters = []
+    for comp in members.values():
+        comp.sort()
+        roles = defaultdict(lambda: ([], []))
+        for t in comp:
+            roles[t.k3][0].append(t)
+            roles[t.k1][1].append(t)
+            if t.k2 != t.k1:
+                roles[t.k2][1].append(t)
+        conns = []
+        for value in sorted(roles):
+            actives, passives = roles[value]
+            if len(actives) + len(passives) < 2:
+                continue
+            actives.sort()
+            passives.sort()
+            for i in range(len(actives)):
+                for j in range(i + 1, len(actives)):
+                    conns.append(connection_type(actives[i], actives[j], value))
+            if actives:
+                conns += [connection_type(actives[0], p, value) for p in passives]
+            else:
+                for i in range(len(passives)):
+                    for j in range(i + 1, len(passives)):
+                        conns.append(connection_type(passives[i], passives[j], value))
+        oms = [t.omega_gen for t in comp]
+        omega_min, omega_max = min(oms), max(oms)
+        clusters.append(
+            ClusterGraph(
+                triads=tuple(comp),
+                connections=tuple(conns),
+                omega_min=omega_min,
+                omega_max=omega_max,
+                spread=(omega_max - omega_min) / omega_max,
+            )
+        )
+    clusters.sort(key=lambda c: (-c.size, c.omega_min, c.triads))
+    return clusters
+
+
+def _assert_same_clusters(clusters, reference):
+    # compared cluster by cluster, so that a failure names the first
+    # difference instead of diffing two full reprs
+    assert len(clusters) == len(reference)
+    for i, (got, want) in enumerate(zip(clusters, reference)):
+        same = got == want
+        assert same, f"cluster {i}: {got.size} triads, reference {want.size}"
+
+
+class TestAdjacentLinkEquivalence:
+    """build_clusters links only vorticity-adjacent carriers of a value; the
+    partition, member order, vorticity range and typed edges must equal those
+    of the all-pairs window reference."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_subsets_of_the_kmax_100_triads(self, triads_100, data):
+        start = data.draw(st.integers(0, len(triads_100) - 1))
+        window = triads_100[start:start + data.draw(st.integers(1, 400))]
+        keep = data.draw(st.floats(0.05, 1.0))
+        rng = data.draw(st.randoms(use_true_random=False))
+        subset = [t for t in window if rng.random() < keep]
+        rng.shuffle(subset)
+        epsilon = 10.0 ** data.draw(st.floats(-6.0, math.log10(0.5)))
+        _assert_same_clusters(
+            build_clusters(subset, epsilon), _reference_build_clusters(subset, epsilon)
+        )
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
+    def test_whole_kmax_100_domain(self, triads_100, epsilon):
+        _assert_same_clusters(
+            build_clusters(triads_100, epsilon), _reference_build_clusters(triads_100, epsilon)
+        )
+
+    @pytest.mark.parametrize(
+        "triads",
+        [
+            pytest.param([Triad(3, 3, 6, 2.0, 1.0), Triad(3, 4, 7, 2.001, 0.5)], id="k1-equals-k2"),
+            pytest.param([Triad(2, 5, 7, 1.5, 1.0), Triad(1, 2, 3, 1.5, 2.0),
+                          Triad(2, 7, 9, 1.5, 0.3)], id="equal-vorticities"),
+            pytest.param([Triad(5, 9, 14, 3.0, 1.0)], id="single-triad"),
+            pytest.param([Triad(3, 4, 7, 2.0, 1.0), Triad(1, 5, 6, 2.0, 1.0)],
+                         id="tied-singletons"),
+            # b - a == 0.5 * b exactly: unlinked at epsilon 0.5
+            pytest.param([Triad(1, 2, 3, 1.0, 2.0), Triad(2, 5, 7, 2.0, 1.0)], id="gap-at-bound"),
+            pytest.param([Triad(1, 2, 3, 1.0, 2.0), Triad(2, 5, 7, 1.0005, 1.0)], id="ratio-hint"),
+            pytest.param([Triad(1, 2, 3, 1.0, 2.0), Triad(2, 5, 7, 1.0005, 0.37)], id="no-hint"),
+            pytest.param([Triad(2, 5, 7, 1.0005, 1.0), Triad(1, 2, 3, 1.0, 2.0),
+                          Triad(2, 5, 7, 1.0005, 1.0)], id="duplicate-triad"),
+        ],
+    )
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 1e-2, 0.5])
+    def test_hand_built(self, triads, epsilon):
+        _assert_same_clusters(
+            build_clusters(triads, epsilon), _reference_build_clusters(triads, epsilon)
+        )
