@@ -48,6 +48,7 @@ from .dynamics import (
     hamiltonian,
     integrate,
     measure_period,
+    phase_lock_residual,
     refine_minimum,
     solve_dense,
     time_derivative,

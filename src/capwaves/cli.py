@@ -6,7 +6,9 @@ override individual values, and all artifacts are written with deterministic
 formatting so identical configs produce byte-identical outputs.  The
 effective configuration is echoed next to the artifacts for provenance.
 
-Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
+Exit codes: 0 success, 1 validation or runtime failure, 2 usage error (also
+for inputs the library rejects with a ValueError, such as a sigma that makes
+the couplings non-finite).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .dynamics import (
     integrate,
     measure_period,
     mode_labels,
+    phase_lock_residual,
 )
 from .resonance_search import enumerate_triads, triad_columns
 
@@ -57,7 +60,6 @@ class RunConfig:
     samples: int = 1000
     cluster_id: int = 0
     out: str = "out"
-    format: str = "csv"
     initial: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -68,8 +70,6 @@ class RunConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.kmax < 1 or self.samples < 2 or self.cluster_id < 0:
             raise ValueError("kmax, samples and cluster_id out of range")
-        if self.format not in ("csv", "json", "dot"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 _SCALAR_FIELDS = {
@@ -81,7 +81,6 @@ _SCALAR_FIELDS = {
     "samples": int,
     "cluster_id": int,
     "out": str,
-    "format": str,
 }
 
 
@@ -154,8 +153,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# json.dumps spells the non-finite floats differently from repr
-_JSON_FLOAT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 # one triads.json entry, laid out as json.dumps(indent=2, sort_keys=True) does
 _JSON_ROW = """    {
       "k1": %d,
@@ -167,8 +164,8 @@ _JSON_ROW = """    {
 
 
 def cmd_search(config: RunConfig) -> int:
-    out = _prepare_out(config)
     k1, k2, k3, omega, z = triad_columns(config.kmax, FluidParams(config.sigma))
+    out = _prepare_out(config)
     rows = list(
         zip(k1.tolist(), k2.tolist(), k3.tolist(),
             map(repr, omega.tolist()), map(repr, z.tolist()))
@@ -178,10 +175,7 @@ def cmd_search(config: RunConfig) -> int:
         "# k1 k2 k3 omega_gen z\n"
     )
     (out / "triads.txt").write_text(header + "".join("%d %d %d %s %s\n" % r for r in rows))
-    entries = ",\n".join(
-        _JSON_ROW % (a, b, c, _JSON_FLOAT.get(om, om), _JSON_FLOAT.get(zz, zz))
-        for a, b, c, om, zz in rows
-    )
+    entries = ",\n".join(_JSON_ROW % row for row in rows)
     (out / "triads.json").write_text(
         f'{{\n  "kmax": {json.dumps(config.kmax)},\n  "sigma": {json.dumps(config.sigma)},\n'
         f'  "triads": [\n{entries}\n  ]\n}}\n'
@@ -191,17 +185,15 @@ def cmd_search(config: RunConfig) -> int:
 
 
 def cmd_cluster(config: RunConfig) -> int:
-    out = _prepare_out(config)
     params = FluidParams(config.sigma)
     triads = enumerate_triads(config.kmax, params)
+    out = _prepare_out(config)
     clusters = build_clusters(triads, config.epsilon)
     payload = clusters_to_json(clusters, config.epsilon, params, config.kmax)
-    if config.format != "dot":
-        (out / "clusters.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "clusters.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     multi = [c for c in clusters if c.size > 1]
-    if config.format != "json":
-        for i, cluster in enumerate(multi):
-            (out / f"cluster_{i:04d}.dot").write_text(export_nr_diagram(cluster))
+    for i, cluster in enumerate(multi):
+        (out / f"cluster_{i:04d}.dot").write_text(export_nr_diagram(cluster))
     for i, cluster in enumerate(multi):
         kinds: dict[str, int] = {}
         for c in cluster.connections:
@@ -229,9 +221,9 @@ def cmd_cluster(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    out = _prepare_out(config)
     params = FluidParams(config.sigma)
     triads = enumerate_triads(config.kmax, params)
+    out = _prepare_out(config)
     clusters = build_clusters(triads, config.epsilon)
     if config.cluster_id >= len(clusters):
         print(f"error: cluster_id {config.cluster_id} out of range", file=sys.stderr)
@@ -282,9 +274,7 @@ def cmd_simulate(config: RunConfig) -> int:
     (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
 
     drift = drift_report(system, basis, state0, samples)
-    phases = np.array([s.phases for s in samples])
-    defined = phases[~np.isnan(phases)]
-    lock = float(np.max(np.minimum(np.abs(defined), np.pi - np.abs(defined)))) if defined.size else float("nan")
+    lock = phase_lock_residual([s.phases for s in samples])
     try:
         period = measure_period(system, state0, t_end, tol=min(config.tol, 1e-11))
         period_text = f"{period:.9g}"
@@ -325,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="trajectory samples")
         p.add_argument("--cluster-id", dest="cluster_id", type=int, help="cluster index")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json", "dot"], help="artifact format")
 
     add_common(sub.add_parser("search", help="enumerate exact triads"))
     add_common(sub.add_parser("cluster", help="build resonance clusters"))
@@ -350,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_cluster(config)
         if args.command == "simulate":
             return cmd_simulate(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,8 @@ and simple pairs and differ when three or more triads share one mode.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -45,6 +46,7 @@ __all__ = [
     "connection_type",
     "build_clusters",
     "conservation_count",
+    "carrier_counts",
     "identification_count",
     "coupling_ratio_hints",
     "export_nr_diagram",
@@ -78,10 +80,6 @@ class ClusterGraph:
     @property
     def size(self) -> int:
         return len(self.triads)
-
-    @property
-    def wavenumber_values(self) -> tuple[int, ...]:
-        return tuple(sorted({k for t in self.triads for k in t.wavenumbers}))
 
 
 def connection_type(triad_a: Triad, triad_b: Triad, shared_k: int) -> Connection:
@@ -187,14 +185,15 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     return clusters
 
 
+def carrier_counts(triads: Iterable[Triad]) -> Counter[int]:
+    """Number of triads carrying each wavenumber value (k1 = k2 counts once)."""
+    return Counter(v for t in triads for v in set(t.wavenumbers))
+
+
 def identification_count(cluster: ClusterGraph) -> int:
     """Number of shared-mode identifications: for each wavenumber value carried
-    by m > 1 triads of the cluster, m - 1 mode slots merge into one."""
-    carriers: dict[int, int] = defaultdict(int)
-    for t in cluster.triads:
-        for v in set(t.wavenumbers):
-            carriers[v] += 1
-    return sum(m - 1 for m in carriers.values() if m > 1)
+    by m triads of the cluster, m - 1 mode slots merge into one."""
+    return sum(m - 1 for m in carrier_counts(cluster.triads).values())
 
 
 def conservation_count(cluster: ClusterGraph) -> int:

@@ -60,13 +60,6 @@ class FluidParams:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-def _check_wavenumber(k: int, *, positive: bool = False) -> None:
-    if k == 0:
-        raise ValueError("wavenumber must be nonzero")
-    if positive and k < 0:
-        raise ValueError(f"wavenumber must be a positive integer, got {k}")
-
-
 def tilde_frequency(k, omega_cap: float, params: FluidParams):
     """Shifted frequency sqrt(sigma |k|³ + Omega²/4).
 
@@ -96,8 +89,6 @@ def angular_frequency(k, omega_cap: float, params: FluidParams):
     both propagation directions can be inspected.
     """
     k = np.asarray(k)
-    if np.any(k == 0):
-        raise ValueError("wavenumber must be nonzero")
     out = -(omega_cap / 2.0) * np.sign(k) + tilde_frequency(k, omega_cap, params)
     return out if out.ndim else float(out)
 
@@ -109,11 +100,7 @@ def branch_frequency(k, omega_cap: float, params: FluidParams):
     :func:`resonant_vorticity` live on this branch; evaluating it keeps all
     resonance arithmetic in positive integer indices.
     """
-    k = np.asarray(k)
-    if np.any(k == 0):
-        raise ValueError("wavenumber must be nonzero")
-    out = (omega_cap / 2.0) * np.sign(k) + tilde_frequency(k, omega_cap, params)
-    return out if out.ndim else float(out)
+    return angular_frequency(-np.asarray(k), omega_cap, params)
 
 
 def resonant_vorticity(k1, k2, params: FluidParams):

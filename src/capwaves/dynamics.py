@@ -10,7 +10,8 @@ Hamiltonian is the coupling-weighted sum of the triple-product imaginaries
 (for a single triad this is Z Im(B1 B2 B3*), i.e. Z times the bare
 triple-product invariant).  Quadratic invariants are obtained by exact integer
 elimination as the null space of the transposed signed incidence matrix
-between modes and triads.
+between modes and triads, whose rows are read straight off the system's one
+slot table (the slot indices and coupling of every triad).
 
 Integration is an explicit adaptive Runge-Kutta scheme with an embedded
 error estimate (scipy's DOP853) and dense output; conserved quantities are
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .clustering import ClusterGraph
+from .clustering import ClusterGraph, carrier_counts
 from .resonance_search import Triad
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "hamiltonian",
     "conserved_quadratics",
     "dynamical_phases",
+    "phase_lock_residual",
     "drift_report",
     "solve_dense",
     "integrate",
@@ -77,16 +79,15 @@ class TriadTerm:
 
 @dataclass(frozen=True, eq=False)
 class ClusterSystem:
-    """Deduplicated mode slots, per-triad coupling terms and signed incidence.
+    """Deduplicated mode slots and the slot table of per-triad coupling terms.
 
-    incidence[m, j] is +1 where slot m is a passive mode of triad j, -1 where
-    it is the active mode, 0 otherwise.  Slot count M = 3N - n with n the
-    number of shared-mode identifications.
+    Slot count M = 3N - n with n the number of shared-mode identifications.
+    Every other view of the table (``term_rows``, ``term_arrays``,
+    ``incidence``) is derived from ``terms`` when first asked for.
     """
 
     modes: tuple[int, ...]  # wavenumber per slot; k1 = k2 triads carry two slots
     terms: tuple[TriadTerm, ...]
-    incidence: np.ndarray
     triads: tuple[Triad, ...]
 
     @property
@@ -107,6 +108,24 @@ class ClusterSystem:
         """Slot indices (3, N), rows m1, m2, m3, and couplings z (N,), for array evaluation."""
         m1, m2, m3, z = zip(*self.term_rows)
         return np.array([m1, m2, m3]), np.array(z, dtype=float)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Signed incidence (M, N): +1 where slot m is a passive mode of triad j,
+        -1 where it is the active mode, 0 otherwise."""
+        return np.array(_incidence_rows(self), dtype=int).T
+
+
+def _incidence_rows(system: ClusterSystem) -> list[list[int]]:
+    """Rows of the transposed incidence S^T, one per triad, as Python ints."""
+    rows = []
+    for m1, m2, m3, _ in system.term_rows:
+        row = [0] * system.n_modes
+        row[m1] += 1
+        row[m2] += 1
+        row[m3] -= 1
+        rows.append(row)
+    return rows
 
 
 class IntegrationError(RuntimeError):
@@ -142,10 +161,7 @@ def build_system(cluster: ClusterGraph) -> ClusterSystem:
     a value is additionally shared with another triad the mapping would be
     ambiguous and a structural error is raised.
     """
-    carriers: dict[int, int] = {}
-    for t in cluster.triads:
-        for v in set(t.wavenumbers):
-            carriers[v] = carriers.get(v, 0) + 1
+    carriers = carrier_counts(cluster.triads)
     modes: list[int] = []
     value_slot: dict[int, int] = {}
     terms: list[TriadTerm] = []
@@ -169,17 +185,7 @@ def build_system(cluster: ClusterGraph) -> ClusterSystem:
                 value_slot[v] = len(modes) - 1
                 slot_idx.append(value_slot[v])
         terms.append(TriadTerm(slot_idx[0], slot_idx[1], slot_idx[2], t.z))
-    incidence = np.zeros((len(modes), len(terms)), dtype=int)
-    for j, term in enumerate(terms):
-        incidence[term.m1, j] += 1
-        incidence[term.m2, j] += 1
-        incidence[term.m3, j] -= 1
-    return ClusterSystem(
-        modes=tuple(modes),
-        terms=tuple(terms),
-        incidence=incidence,
-        triads=tuple(cluster.triads),
-    )
+    return ClusterSystem(modes=tuple(modes), terms=tuple(terms), triads=tuple(cluster.triads))
 
 
 def mode_labels(system: ClusterSystem) -> list[str]:
@@ -283,12 +289,12 @@ def conserved_quadratics(system: ClusterSystem) -> np.ndarray:
     The coefficient vectors span the null space of the transposed incidence
     matrix, computed by exact integer elimination in primitive integer form.
     The dimension is M - rank(S); with a full-rank incidence (true for all
-    published cluster topologies) this equals 2N - n, the Manley-Rowe count
-    for N triads with n shared-mode identifications.
+    published cluster topologies) this equals M - N, which is 2N - n, the
+    Manley-Rowe count for N triads with n = 3N - M shared-mode identifications.
     """
-    basis = _integer_nullspace(system.incidence.T.tolist(), system.n_modes)
+    basis = _integer_nullspace(_incidence_rows(system), system.n_modes)
     out = np.array(basis, dtype=np.int64).reshape(len(basis), system.n_modes)
-    expected = 2 * system.n_triads - (3 * system.n_triads - system.n_modes)
+    expected = system.n_modes - system.n_triads
     if len(basis) != expected:
         warnings.warn(
             f"conserved-quadratic dimension {len(basis)} differs from 2N - n = {expected}: "
@@ -310,6 +316,20 @@ def dynamical_phases(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
     phases = np.arctan2(triple.imag, triple.real)
     phases[triple == 0] = np.nan
     return phases
+
+
+def phase_lock_residual(phases: np.ndarray) -> float:
+    """Largest distance of the defined dynamical phases to the locked set {0, pi}.
+
+    Takes phases of any shape, e.g. the (T, N) block of a trajectory; NaN
+    entries (undefined phases) are skipped, and the result is NaN when no
+    phase is defined.
+    """
+    phases = np.asarray(phases)
+    defined = np.abs(phases[~np.isnan(phases)])
+    if defined.size == 0:
+        return float("nan")
+    return float(np.max(np.minimum(defined, np.pi - defined)))
 
 
 @dataclass(frozen=True)

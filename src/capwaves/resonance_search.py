@@ -98,15 +98,15 @@ def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
     kmax (kmax + 1) / 2 entries; the coupling is taken at each triad's own
     generating vorticity.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be a positive integer, got {kmax}")
-    k1g, k2g = np.meshgrid(np.arange(1, kmax + 1), np.arange(1, kmax + 1), indexing="ij")
-    keep = k1g <= k2g
-    k1 = k1g[keep]
-    k2 = k2g[keep]
-    k3 = k1 + k2
-    omega = resonant_vorticity(k1, k2, params)
-    z = coupling_coefficient(k1, k2, k3, omega, params, check_resonant=False)
+    k1, k2, k3 = _pair_grid(kmax)
+    with np.errstate(all="ignore"):
+        omega = resonant_vorticity(k1, k2, params)
+        z = coupling_coefficient(k1, k2, k3, omega, params, check_resonant=False)
+    if not (np.isfinite(omega).all() and np.isfinite(z).all()):
+        raise ValueError(
+            f"sigma = {params.sigma!r} gives non-finite vorticities or couplings "
+            f"at kmax = {kmax}"
+        )
     order = np.lexsort((k2, k1, omega))
     return k1[order], k2[order], k3[order], omega[order], z[order]
 
@@ -120,6 +120,23 @@ def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
     return [Triad(*row) for row in zip(*columns)]
 
 
+def _pair_grid(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k1, k2, k1 + k2) over the grid 1 <= k1 <= k2 <= kmax, k1-major."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be a positive integer, got {kmax}")
+    k1, k2 = (i + 1 for i in np.triu_indices(kmax))
+    return k1, k2, k1 + k2
+
+
+def _width(k1, k2, omega_cap: float, params: FluidParams):
+    """Signed mismatch omega(k1) + omega(k2) - omega(k1+k2) on the resonant branch."""
+    return (
+        branch_frequency(k1, omega_cap, params)
+        + branch_frequency(k2, omega_cap, params)
+        - branch_frequency(k1 + k2, omega_cap, params)
+    )
+
+
 def resonance_width(k1: int, k2: int, omega_cap: float, params: FluidParams) -> float:
     """Frequency mismatch |omega(k1) + omega(k2) - omega(k1+k2)| at the given vorticity.
 
@@ -129,26 +146,7 @@ def resonance_width(k1: int, k2: int, omega_cap: float, params: FluidParams) -> 
     """
     if k1 <= 0 or k2 <= 0:
         raise ValueError("resonance width requires positive wavenumbers")
-    w = (
-        branch_frequency(k1, omega_cap, params)
-        + branch_frequency(k2, omega_cap, params)
-        - branch_frequency(k1 + k2, omega_cap, params)
-    )
-    return abs(float(w))
-
-
-def _width_grid(kmax: int, omega_cap: float, params: FluidParams):
-    k1g, k2g = np.meshgrid(np.arange(1, kmax + 1), np.arange(1, kmax + 1), indexing="ij")
-    keep = k1g <= k2g
-    k1 = k1g[keep]
-    k2 = k2g[keep]
-    k3 = k1 + k2
-    widths = np.abs(
-        branch_frequency(k1, omega_cap, params)
-        + branch_frequency(k2, omega_cap, params)
-        - branch_frequency(k3, omega_cap, params)
-    )
-    return k1, k2, k3, widths
+    return abs(float(_width(k1, k2, omega_cap, params)))
 
 
 def min_positive_width(kmax: int, omega_cap: float, params: FluidParams) -> float:
@@ -158,26 +156,19 @@ def min_positive_width(kmax: int, omega_cap: float, params: FluidParams) -> floa
     are treated as exact resonances and excluded; this estimates the gap
     separating the quasi-resonant band from exact resonance.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be a positive integer, got {kmax}")
-    k1, k2, k3, widths = _width_grid(kmax, omega_cap, params)
-    scale = branch_frequency(k3, omega_cap, params)
-    positive = widths >= RESONANCE_REL_TOL * scale
-    if not positive.any():
-        raise ValueError("no positive width in domain: every candidate is exactly resonant")
-    return float(widths[positive].min())
+    return interaction_bounds(kmax, omega_cap, params)[0]
 
 
 def interaction_bounds(kmax: int, omega_cap: float, params: FluidParams) -> tuple[float, float]:
     """(r, r_max) width bounds for classification at the given vorticity.
 
-    r is the smallest positive width on the grid (quasi-resonance threshold);
-    r_max the largest width present, beyond which a mismatch no longer
-    corresponds to any in-domain interaction.
+    r is the smallest positive width on the grid (quasi-resonance threshold,
+    :func:`min_positive_width`); r_max the largest width present, beyond
+    which a mismatch no longer corresponds to any in-domain interaction.
     """
-    k1, k2, k3, widths = _width_grid(kmax, omega_cap, params)
-    scale = branch_frequency(k3, omega_cap, params)
-    positive = widths >= RESONANCE_REL_TOL * scale
+    k1, k2, k3 = _pair_grid(kmax)
+    widths = np.abs(_width(k1, k2, omega_cap, params))
+    positive = widths >= RESONANCE_REL_TOL * branch_frequency(k3, omega_cap, params)
     if not positive.any():
         raise ValueError("no positive width in domain: every candidate is exactly resonant")
     return float(widths[positive].min()), float(widths.max())

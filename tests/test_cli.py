@@ -48,8 +48,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(sigma=-1.0)
-        with pytest.raises(ValueError):
-            RunConfig(format="xml")
 
 
 class TestUsageErrors:
@@ -126,17 +124,19 @@ class TestSearchWriter:
         assert (out / "triads.txt").read_text() == text
         assert (out / "triads.json").read_text() == payload
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("sigma", [1e-320, 5e-324])
-    def test_non_finite_columns_spelled_as_json_does(self, tmp_path, capsys, sigma):
-        # a subnormal sigma overflows the coupling: json.dumps writes
-        # Infinity / NaN where repr writes inf / nan
+    @pytest.mark.parametrize("command", ["search", "cluster", "simulate"])
+    @pytest.mark.parametrize("sigma, kmax", [(1e-320, 12), (5e-324, 12), (1e300, 800)])
+    def test_non_finite_columns_exit_two(self, tmp_path, capsys, command, sigma, kmax):
+        # a subnormal sigma overflows the coupling, a huge one at large kmax
+        # makes it NaN: one error line, and nothing is written
         out = tmp_path / "run"
-        assert main(["search", "--kmax", "12", "--sigma", repr(sigma), "--out", str(out)]) == 0
-        text, payload = _search_payload_reference(sigma, 12)
-        assert "Infinity" in payload or "NaN" in payload
-        assert (out / "triads.txt").read_text() == text
-        assert (out / "triads.json").read_text() == payload
+        code = main([command, "--kmax", str(kmax), "--sigma", repr(sigma), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "sigma" in line and f"kmax = {kmax}" in line
+        assert not out.exists()
 
 
 # sha256 of the artifacts of `capwaves search` and `capwaves cluster` at kmax

@@ -68,6 +68,8 @@ class TestAngularFrequency:
     def test_zero_wavenumber_rejected(self, params_unit):
         with pytest.raises(ValueError):
             angular_frequency(0, 1.0, params_unit)
+        with pytest.raises(ValueError, match="nonzero"):
+            branch_frequency(0, 1.0, params_unit)
 
     def test_positive_for_positive_k(self, params_unit):
         vals = angular_frequency(np.arange(1, 101), 2.0, params_unit)

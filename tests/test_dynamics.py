@@ -19,8 +19,10 @@ from capwaves import (
     dynamical_phases,
     enumerate_triads,
     hamiltonian,
+    identification_count,
     integrate,
     measure_period,
+    phase_lock_residual,
     solve_dense,
     time_derivative,
     triad_elliptic_params,
@@ -213,7 +215,6 @@ class TestHamiltonian:
         corrupted = ClusterSystem(
             modes=pp_butterfly.modes,
             terms=(TriadTerm(t0.m1, t0.m2, t0.m3, -t0.z), t1),
-            incidence=pp_butterfly.incidence,
             triads=pp_butterfly.triads,
         )
         rng = np.random.default_rng(4)
@@ -316,6 +317,7 @@ class TestConservedQuadraticsExactness:
             basis = conserved_quadratics(system)
             np.testing.assert_array_equal(basis, _fraction_basis(system))
             assert not (system.incidence.T @ basis.T).any()
+            assert identification_count(part) == 3 * system.n_triads - system.n_modes
 
 
 class TestConservedQuadratics:
@@ -325,6 +327,15 @@ class TestConservedQuadratics:
         standard = np.array([[1, 0, 1], [0, 1, 1]])  # I13, I23
         stacked = np.vstack([basis, standard])
         assert np.linalg.matrix_rank(stacked) == 2
+
+    def test_dense_incidence_built_only_on_request(self, triads_by_wn):
+        [cluster] = build_clusters([triads_by_wn[(5, 7, 12)]], 1e-3)
+        system = build_system(cluster)
+        b0 = np.array([1.0, 0.8, 0.6], dtype=complex)
+        integrate(system, b0, 5.0 * characteristic_time(system, b0), samples=20)
+        conserved_quadratics(system)
+        assert "incidence" not in vars(system)
+        np.testing.assert_array_equal(system.incidence, [[1], [1], [-1]])
 
     def test_annihilates_incidence(self, three_star):
         basis = conserved_quadratics(three_star)
@@ -407,6 +418,11 @@ class TestDynamicalPhases:
         assert dynamical_phases(triad_system, state)[0] == pytest.approx(
             9.0 - 2.0 * np.pi, rel=1e-12
         )
+
+    def test_lock_residual(self):
+        assert phase_lock_residual([0.0, np.pi, -np.pi, np.nan]) == 0.0
+        assert phase_lock_residual([[0.25, np.nan], [np.pi - 0.5, -0.125]]) == 0.5
+        assert math.isnan(phase_lock_residual(np.full((3, 2), np.nan)))
 
     def test_zero_amplitude_marks_undefined(self, triad_system):
         state = np.array([1.0, 0.0, 1.0], complex)

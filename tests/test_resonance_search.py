@@ -109,6 +109,11 @@ class TestMinPositiveWidth:
         width = min_positive_width(100, omega, params_unit)
         assert width > 0.0
 
+    def test_empty_domain_rejected(self, params_unit):
+        for bounds in (min_positive_width, interaction_bounds):
+            with pytest.raises(ValueError, match="kmax must be a positive integer"):
+                bounds(0, 0.0, params_unit)
+
     def test_all_exact_domain_raises(self, params_unit):
         omega = resonant_vorticity(1, 1, params_unit)
         with pytest.raises(ValueError, match="no positive width"):
