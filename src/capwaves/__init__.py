@@ -34,6 +34,7 @@ from .dispersion import (
 )
 from .dynamics import (
     ClusterSystem,
+    DenseSolution,
     Drift,
     IntegrationError,
     Regime,

@@ -320,10 +320,10 @@ def _random_triad_state(rng, system):
         return b0, inv, params
 
 
-def _first_minimum(sol, mode, t_hi):
+def _first_minimum(b_mode, t_hi):
     """Time of the first strict interior minimum of |B_mode|² before t_hi."""
     return refine_minimum(
-        lambda t: np.abs(sol(t)[mode]) ** 2, np.linspace(0.0, t_hi, 600), 1e-13, first=True
+        lambda t: np.abs(b_mode(t)) ** 2, np.linspace(0.0, t_hi, 600), 1e-13, first=True
     )
 
 
@@ -340,7 +340,7 @@ def check_analytic_oracle() -> CheckResult:
         t_end = 6.8 * ell.tau
         sol = solve_dense(system, b0, t_end, 1e-11)
         mode3 = system.terms[0].m3
-        t0 = _first_minimum(sol, mode3, 1.6 * ell.tau)
+        t0 = _first_minimum(sol.slot(mode3), 1.6 * ell.tau)
         ts = np.linspace(0.0, 5.0 * ell.tau, 700)
         states = sol(ts)
         rho1, rho2, rho3 = closed_form_amplitudes(ell, inv, ts, t0)
@@ -408,9 +408,9 @@ def check_phase_behaviour() -> CheckResult:
         theta[pp_sys.terms[1].m3] = -phase
         b0pp = np.ones(pp_sys.n_modes) * np.exp(1j * theta)
         t_end = 120.0 * characteristic_time(pp_sys, b0pp)
-        sol = solve_dense(pp_sys, b0pp, t_end, 1e-11)
+        b_shared = solve_dense(pp_sys, b0pp, t_end, 1e-11).slot(shared)
         ts = np.linspace(0.0, t_end, 40000)
-        c1sq = np.abs(sol(ts)[shared]) ** 2
+        c1sq = np.abs(b_shared(ts)) ** 2
         peaks = np.where((c1sq[1:-1] > c1sq[:-2]) & (c1sq[1:-1] > c1sq[2:]))[0] + 1
         var = float((c1sq[peaks].max() - c1sq[peaks].min()) / c1sq[peaks].mean())
         return ts, c1sq, peaks, var

@@ -6,7 +6,8 @@ override individual values, and all artifacts are written with deterministic
 formatting so identical configs produce byte-identical outputs.  The
 effective configuration is echoed next to the artifacts for provenance.
 
-Exit codes: 0 success, 1 validation or runtime failure, 2 usage error (also
+Exit codes: 0 success, 1 validation or runtime failure (such as an
+integration that fails, reported with its last time), 2 usage error (also
 for inputs the library rejects with a ValueError, such as a sigma that makes
 the couplings non-finite).
 """
@@ -32,6 +33,7 @@ from .clustering import (
 )
 from .dispersion import SIGMA_WATER_25C, FluidParams
 from .dynamics import (
+    IntegrationError,
     build_system,
     characteristic_time,
     conserved_quadratics,
@@ -187,37 +189,44 @@ def cmd_search(config: RunConfig) -> int:
 def cmd_cluster(config: RunConfig) -> int:
     params = FluidParams(config.sigma)
     triads = enumerate_triads(config.kmax, params)
-    out = _prepare_out(config)
     clusters = build_clusters(triads, config.epsilon)
+    multi = [c for c in clusters if c.size > 1]
+    # every summary line first: a cluster the summary rejects leaves no artifacts
+    lines = [_cluster_summary(i, cluster, config.epsilon) for i, cluster in enumerate(multi)]
+    out = _prepare_out(config)
     payload = clusters_to_json(clusters, config.epsilon, params, config.kmax)
     (out / "clusters.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    multi = [c for c in clusters if c.size > 1]
     for i, cluster in enumerate(multi):
         (out / f"cluster_{i:04d}.dot").write_text(export_nr_diagram(cluster))
-    for i, cluster in enumerate(multi):
-        kinds: dict[str, int] = {}
-        for c in cluster.connections:
-            kinds[c.kind] = kinds.get(c.kind, 0) + 1
-        hist = ",".join(f"{k}:{v}" for k, v in sorted(kinds.items()))
-        laws = conservation_count(cluster)
-        flag = "  [spread exceeds epsilon]" if cluster.spread > config.epsilon else ""
-        hints = coupling_ratio_hints(cluster)
-        targets: dict[float, int] = {}
-        for _, target in hints:
-            targets[target] = targets.get(target, 0) + 1
-        hint_text = (
-            "  [integrable-ratio candidates: "
-            + ",".join(f"Z~{t:g}x{c}" for t, c in sorted(targets.items()))
-            + "]"
-            if hints
-            else ""
-        )
-        print(
-            f"cluster {i}: N={cluster.size} n={len(cluster.connections)} laws={laws} "
-            f"spread={cluster.spread:.3e} kinds={hist}{flag}{hint_text}"
-        )
+    for line in lines:
+        print(line)
     print(f"{len(multi)} multi-triad clusters, {len(clusters) - len(multi)} isolated triads")
     return 0
+
+
+def _cluster_summary(i: int, cluster, epsilon: float) -> str:
+    """The stdout line of multi-triad cluster i; raises what ``conservation_count`` raises."""
+    kinds: dict[str, int] = {}
+    for c in cluster.connections:
+        kinds[c.kind] = kinds.get(c.kind, 0) + 1
+    hist = ",".join(f"{k}:{v}" for k, v in sorted(kinds.items()))
+    laws = conservation_count(cluster)
+    flag = "  [spread exceeds epsilon]" if cluster.spread > epsilon else ""
+    hints = coupling_ratio_hints(cluster)
+    targets: dict[float, int] = {}
+    for _, target in hints:
+        targets[target] = targets.get(target, 0) + 1
+    hint_text = (
+        "  [integrable-ratio candidates: "
+        + ",".join(f"Z~{t:g}x{c}" for t, c in sorted(targets.items()))
+        + "]"
+        if hints
+        else ""
+    )
+    return (
+        f"cluster {i}: N={cluster.size} n={len(cluster.connections)} laws={laws} "
+        f"spread={cluster.spread:.3e} kinds={hist}{flag}{hint_text}"
+    )
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -342,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:
+    except (IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -146,9 +146,9 @@ def triad_setup(triads_by_wn):
 
 
 def _first_minimum_time(sol, t_hi):
-    return refine_minimum(
-        lambda t: np.abs(sol(t)[2]) ** 2, np.linspace(0.0, t_hi, 600), 1e-13, first=True
-    )
+    b3 = sol.slot(2)
+    grid = np.linspace(0.0, t_hi, 600)
+    return refine_minimum(lambda t: np.abs(b3(t)) ** 2, grid, 1e-13, first=True)
 
 
 class TestClosedFormAmplitudes:

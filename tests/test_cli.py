@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import capwaves.acceptance
+import capwaves.cli
 from capwaves import FluidParams, build_clusters, enumerate_triads, min_resonant_vorticity
 from capwaves.acceptance import CheckResult
 from capwaves.cli import RunConfig, main, parse_config, serialize_config
+from capwaves.dynamics import IntegrationError
 
 
 class TestConfig:
@@ -190,6 +192,25 @@ class TestCluster:
         assert len(dots) == 4
         assert all("AP" in d.read_text() for d in dots)
 
+    def test_summary_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        count = capwaves.cli.conservation_count
+        seen = []
+
+        def refuse_third(cluster):
+            seen.append(cluster)
+            if len(seen) == 3:
+                raise ValueError("over-connected cluster")
+            return count(cluster)
+
+        monkeypatch.setattr(capwaves.cli, "conservation_count", refuse_third)
+        out = tmp_path / "run"
+        assert main(["cluster", "--kmax", "20", "--epsilon", "1e-2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: over-connected cluster"]
+        assert not (out / "clusters.json").exists()
+        assert not list(tmp_path.rglob("*.dot"))
+
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -257,6 +278,19 @@ class TestSimulate:
     def test_cluster_id_out_of_range(self, tmp_path, capsys):
         config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"])
         assert main(["simulate", "--config", str(config), "--cluster-id", "99999"]) == 2
+
+    def test_integration_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        message = "integration failed at t=0.25: Required step size is less than spacing"
+
+        def fail(system, initial, t_end, tol, samples):
+            raise IntegrationError(message, 0.25, initial)
+
+        monkeypatch.setattr(capwaves.cli, "integrate", fail)
+        config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.3", "3 0.5 -0.2"])
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.3", "3 0.5 -0.2"])

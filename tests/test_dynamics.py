@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+import capwaves.dynamics
 from capwaves import (
     ClusterSystem,
     FluidParams,
@@ -464,6 +466,128 @@ class TestDynamicalPhases:
                 assert fd[j] == pytest.approx(expected, rel=1e-4, abs=1e-6)
             checked += 1
         assert checked >= 6
+
+
+@pytest.fixture(scope="module")
+def cluster_33():
+    triads = enumerate_triads(300, FluidParams(1.0))
+    cluster = next(c for c in build_clusters(triads, 1e-3) if c.size == 33)
+    return build_system(cluster)
+
+
+def _scipy_dense(system, initial, t_end, tol):
+    """scipy's own dense output of the solve solve_dense makes: the reference."""
+    initial = np.asarray(initial, dtype=complex)
+    scale = max(float(np.max(np.abs(initial))), 1.0)
+    return solve_ivp(
+        lambda t, y: time_derivative(system, y),
+        (0.0, t_end),
+        initial,
+        method="DOP853",
+        rtol=tol,
+        atol=tol * scale,
+        dense_output=True,
+    ).sol
+
+
+class _ScipyHandle:
+    """solve_dense's result as it used to be: scipy's OdeSolution, slots read off the state."""
+
+    def __init__(self, sol):
+        self.sol = sol
+
+    def __call__(self, t):
+        return self.sol(t)
+
+    def slot(self, m):
+        return lambda t: self.sol(t)[m]
+
+
+def _assert_same_bits(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert value.shape == reference.shape
+    assert value.dtype == reference.dtype == complex
+    bits = np.ascontiguousarray(value).view(np.uint64)
+    assert np.array_equal(bits, np.ascontiguousarray(reference).view(np.uint64))
+
+
+class TestDenseSolution:
+    @pytest.fixture(params=["triad_system", "four_star", "cluster_33"])
+    def solved(self, request):
+        system = request.getfixturevalue(request.param)
+        rng = np.random.default_rng(61)
+        b0 = rng.uniform(0.4, 1.2, system.n_modes) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, system.n_modes)
+        )
+        t_end = 5.0 * characteristic_time(system, b0)
+        return (
+            solve_dense(system, b0, t_end, 1e-10),
+            _scipy_dense(system, b0, t_end, 1e-10),
+            t_end,
+            rng,
+        )
+
+    def test_stacks_every_step(self, solved):
+        sol, ref, _, _ = solved
+        steps, m = len(ref.interpolants), ref.interpolants[0].y_old.size
+        assert sol.coeffs.shape == (steps, 7, m)
+        assert sol.y_old.shape == (steps, m)
+        assert np.array_equal(sol.ts, ref.ts)
+
+    def test_scalar_times_bit_identical(self, solved):
+        sol, ref, t_end, _ = solved
+        mid = 0.4321 * t_end
+        times = [0.0, t_end, -0.05 * t_end, 1.2 * t_end, mid, np.float64(mid), np.array(mid)]
+        times += list(ref.ts)
+        for t in times:
+            state = ref(t)
+            _assert_same_bits(sol(t), state)
+            for m in range(state.size):
+                _assert_same_bits(sol.slot(m)(t), state[m])
+
+    def test_time_arrays_bit_identical(self, solved):
+        sol, ref, t_end, rng = solved
+        unsorted = rng.uniform(-0.1 * t_end, 1.1 * t_end, 500)
+        for times in (ref.ts, unsorted, np.linspace(0.0, t_end, 257), np.array([t_end])):
+            block = ref(times)
+            _assert_same_bits(sol(times), block)
+            assert sol(times).strides == block.strides
+            for m in range(block.shape[0]):
+                _assert_same_bits(sol.slot(m)(times), block[m])
+
+    def test_two_dimensional_times_rejected(self, solved):
+        sol = solved[0]
+        with pytest.raises(ValueError):
+            sol(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            sol.slot(0)(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
+    def test_non_positive_span_rejected(self, triad_system, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            solve_dense(triad_system, np.array([1.0, 0.8, 0.5], complex), t_end, 1e-10)
+
+    def test_integrate_and_period_unchanged(self, triad_system, monkeypatch):
+        b0 = np.array([1.0 * np.exp(0.3j), 0.8 * np.exp(-0.2j), 0.5 * np.exp(0.4j)])
+        t_end = 6.0 * triad_elliptic_params(
+            TriadInvariants.from_state(b0[0], b0[1], b0[2], triad_system.terms[0].z)
+        ).tau
+        samples = integrate(triad_system, b0, t_end, samples=300)
+        period = measure_period(triad_system, b0, t_end, tol=1e-12)
+        monkeypatch.setattr(
+            capwaves.dynamics,
+            "solve_dense",
+            lambda system, initial, t_end, tol: _ScipyHandle(
+                _scipy_dense(system, initial, t_end, tol)
+            ),
+        )
+        reference = integrate(triad_system, b0, t_end, samples=300)
+        assert measure_period(triad_system, b0, t_end, tol=1e-12) == period
+        for s, r in zip(samples, reference, strict=True):
+            assert s.t == r.t and s.hamiltonian == r.hamiltonian
+            _assert_same_bits(s.state, r.state)
+            assert np.array_equal(s.invariants, r.invariants)
+            assert np.array_equal(s.phases, r.phases, equal_nan=True)
 
 
 class TestPeriodMeasurement:
