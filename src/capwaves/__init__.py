@@ -15,7 +15,6 @@ from .clustering import (
     Connection,
     build_clusters,
     clusters_to_json,
-    connection_type,
     conservation_count,
     coupling_ratio_hints,
     export_nr_diagram,

@@ -206,9 +206,7 @@ def cmd_cluster(config: RunConfig) -> int:
 
 def _cluster_summary(i: int, cluster, epsilon: float) -> str:
     """The stdout line of multi-triad cluster i; raises what ``conservation_count`` raises."""
-    kinds: dict[str, int] = {}
-    for c in cluster.connections:
-        kinds[c.kind] = kinds.get(c.kind, 0) + 1
+    kinds = cluster.kind_counts
     hist = ",".join(f"{k}:{v}" for k, v in sorted(kinds.items()))
     laws = conservation_count(cluster)
     flag = "  [spread exceeds epsilon]" if cluster.spread > epsilon else ""
@@ -224,7 +222,7 @@ def _cluster_summary(i: int, cluster, epsilon: float) -> str:
         else ""
     )
     return (
-        f"cluster {i}: N={cluster.size} n={len(cluster.connections)} laws={laws} "
+        f"cluster {i}: N={cluster.size} n={sum(kinds.values())} laws={laws} "
         f"spread={cluster.spread:.3e} kinds={hist}{flag}{hint_text}"
     )
 
@@ -232,7 +230,6 @@ def _cluster_summary(i: int, cluster, epsilon: float) -> str:
 def cmd_simulate(config: RunConfig) -> int:
     params = FluidParams(config.sigma)
     triads = enumerate_triads(config.kmax, params)
-    out = _prepare_out(config)
     clusters = build_clusters(triads, config.epsilon)
     if config.cluster_id >= len(clusters):
         print(f"error: cluster_id {config.cluster_id} out of range", file=sys.stderr)
@@ -255,6 +252,7 @@ def cmd_simulate(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    out = _prepare_out(config)
     state0 = np.array(
         [given[v][0] * np.exp(1j * given[v][1]) for v in system.modes], dtype=complex
     )

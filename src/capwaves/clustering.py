@@ -14,13 +14,17 @@ a failed neighbour gap is never linked.  Every pair inside a span of passed
 neighbour gaps is chained through them, so the components equal those of the
 all-pairs rule at O(n log n) cost.
 
-Within a cluster the shared wavenumber values define the diagram edges.  A
-mode is active (A) in a triad when it is the sum mode k3, passive (P)
-otherwise.  Per shared value the edges are emitted as: every pair of
-A-sharers (the joint active mode, a mutual AA clique), one AP edge from each
-P-sharer to the canonical A-sharer, and a PP clique when no triad carries the
-value as its active mode.  This reproduces the published connection counts
-(e.g. three AA plus one AP for the four-triad star).
+A cluster is its triads: which triads carry a wavenumber value, and in
+which role, fixes every diagram edge.  A mode is active (A) in a triad when
+it is the sum mode k3, passive (P) otherwise.  One tally, the role groups of
+every value that two or more triads carry, is the single definition of a
+cluster's structure; nothing else is stored.  Per shared value the edges are
+every pair of A-sharers (the joint active mode, a mutual AA clique), one AP
+edge from each P-sharer to the canonical A-sharer, and a PP clique when no
+triad carries the value as its active mode.  This reproduces the published
+connection counts (e.g. three AA plus one AP for the four-triad star).  The
+edge counts follow from the group sizes alone, so the edges themselves are
+made only when ``connections`` is read.
 
 Note that the number of *independent conserved quadratics* of a cluster is
 governed not by the edge count but by the number of shared-mode
@@ -31,11 +35,13 @@ and simple pairs and differ when three or more triads share one mode.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
 from operator import attrgetter
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .dispersion import FluidParams
 from .resonance_search import Triad
@@ -43,10 +49,8 @@ from .resonance_search import Triad
 __all__ = [
     "Connection",
     "ClusterGraph",
-    "connection_type",
     "build_clusters",
     "conservation_count",
-    "carrier_counts",
     "identification_count",
     "coupling_ratio_hints",
     "export_nr_diagram",
@@ -67,69 +71,83 @@ class Connection:
     kind: str  # "AA", "AP" or "PP"
 
 
+def _role_groups(triads) -> list[tuple[int, list[Triad], list[Triad]]]:
+    """(value, actives, passives) for every wavenumber value that two or more
+    of the triads carry, by value.  Actives carry it as sum mode k3, passives
+    as k1 or k2 (once when k1 = k2); both lists keep the order of triads."""
+    groups: dict[int, tuple[list[Triad], list[Triad]]] = defaultdict(lambda: ([], []))
+    for t in triads:
+        groups[t.k3][0].append(t)
+        groups[t.k1][1].append(t)
+        if t.k2 != t.k1:
+            groups[t.k2][1].append(t)
+    return [(v, a, p) for v, (a, p) in sorted(groups.items()) if len(a) + len(p) > 1]
+
+
+def _edges(triads):
+    """(triad_a, triad_b, value, kind) of every diagram edge, in connection
+    order: per shared value an AA clique, one AP edge per P-sharer to the
+    first A-sharer, or a PP clique when the value is nowhere active."""
+    for value, actives, passives in _role_groups(triads):
+        for i, a in enumerate(actives):
+            for b in actives[i + 1:]:
+                yield a, b, value, "AA"
+        if actives:
+            for p in passives:
+                yield actives[0], p, value, "AP"
+        else:
+            for i, a in enumerate(passives):
+                for b in passives[i + 1:]:
+                    yield a, b, value, "PP"
+
+
 @dataclass(frozen=True, slots=True)
 class ClusterGraph:
-    """A connected component of triads with its typed shared-mode edges."""
+    """A connected component of triads, in Triad order, and its vorticity range.
+
+    The typed shared-mode edges are derived from the triads: ``kind_counts``
+    counts them from the role groups, and ``connections`` makes them on
+    first access and keeps them.
+    """
 
     triads: tuple[Triad, ...]
-    connections: tuple[Connection, ...]
     omega_min: float
     omega_max: float
     spread: float
+    # the edge cache lives in a slot: a per-instance __dict__, which
+    # functools.cached_property needs, would cost every isolated triad
+    _connections: tuple[Connection, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
         return len(self.triads)
 
+    @property
+    def connections(self) -> tuple[Connection, ...]:
+        """The typed diagram edges (see the module docstring), built once."""
+        if len(self.triads) == 1:
+            return ()
+        if self._connections is None:
+            object.__setattr__(
+                self, "_connections", tuple(starmap(Connection, _edges(self.triads)))
+            )
+        return self._connections
 
-def connection_type(triad_a: Triad, triad_b: Triad, shared_k: int) -> Connection:
-    """Build the typed connection for a wavenumber value shared by two triads.
-
-    The kind is AA when the value is the sum mode of both triads, PP when it
-    is a passive mode of both, AP otherwise.
-    """
-    role_a = triad_a.role(shared_k)  # raises if shared_k absent
-    role_b = triad_b.role(shared_k)
-    kind = {("A", "A"): "AA", ("P", "P"): "PP"}.get((role_a, role_b), "AP")
-    return Connection(triad_a, triad_b, shared_k, kind)
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _component_connections(component: tuple[Triad, ...]) -> list[Connection]:
-    """Diagram edges of one component (in Triad order): AA clique / one AP per
-    P-sharer / PP clique, per shared value."""
-    roles: dict[int, tuple[list[Triad], list[Triad]]] = defaultdict(lambda: ([], []))
-    for t in component:
-        roles[t.k3][0].append(t)
-        roles[t.k1][1].append(t)
-        if t.k2 != t.k1:
-            roles[t.k2][1].append(t)
-    conns: list[Connection] = []
-    for value in sorted(roles):
-        actives, passives = roles[value]
-        for i, a in enumerate(actives):
-            conns += [Connection(a, b, value, "AA") for b in actives[i + 1:]]
-        if actives:
-            conns += [Connection(actives[0], p, value, "AP") for p in passives]
-        else:
-            for i, a in enumerate(passives):
-                conns += [Connection(a, b, value, "PP") for b in passives[i + 1:]]
-    return conns
+    @property
+    def kind_counts(self) -> Counter[str]:
+        """Number of edges of each kind present, from the group sizes alone:
+        AA = C(a, 2), AP = p when a > 0, PP = C(p, 2) when a = 0."""
+        counts: Counter[str] = Counter()
+        for _, actives, passives in _role_groups(self.triads):
+            a, p = len(actives), len(passives)
+            counts["AA"] += a * (a - 1) // 2
+            if a:
+                counts["AP"] += p
+            else:
+                counts["PP"] += p * (p - 1) // 2
+        return +counts  # only the kinds present
 
 
 def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> list[ClusterGraph]:
@@ -158,42 +176,34 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     values, owners = values[order], owners[order]
     a, b = omega[owners[:-1]], omega[owners[1:]]
     linked = (values[1:] == values[:-1]) & (np.abs(b - a) < epsilon * np.maximum(a, b))
-    left, right = owners[:-1][linked], owners[1:][linked]
-    uf = _UnionFind(n)
-    for i, j in zip(left.tolist(), right.tolist()):
-        uf.union(i, j)
-    label = owner.copy()
-    touched = np.union1d(left, right).tolist()
-    label[touched] = [uf.find(i) for i in touched]
-    # members of each component in Triad order; components by lowest index
+    links = coo_array(
+        (np.ones(np.count_nonzero(linked)), (owners[:-1][linked], owners[1:][linked])),
+        shape=(n, n),
+    )
+    label = connected_components(links, directed=False)[1]
+    # members of each component in Triad order, components one after another
     members = np.lexsort((z, omega, k3, k2, k1, label))
-    starts = np.flatnonzero(np.diff(label[members], prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
+    ends = np.append(starts, n)[1:]
+    # the same blocks sorted by vorticity: their first and last members give
+    # each range, read off the triads so that no float is made per cluster
+    by_omega = np.lexsort((omega, label))
+    omega_min = [triads[i].omega_gen for i in by_omega[starts].tolist()]
+    omega_max = [triads[i].omega_gen for i in by_omega[ends - 1].tolist()]
     ordered = [triads[i] for i in members.tolist()]
-    clusters = []
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        if hi - lo == 1:
-            t = ordered[lo]
-            comp, conns, omega_min, omega_max = (t,), (), t.omega_gen, t.omega_gen
-        else:
-            comp = tuple(ordered[lo:hi])
-            conns = tuple(_component_connections(comp))
-            oms = [t.omega_gen for t in comp]
-            omega_min, omega_max = min(oms), max(oms)
-        spread = (omega_max - omega_min) / omega_max
-        clusters.append(ClusterGraph(comp, conns, omega_min, omega_max, spread))
+    bounds = zip(starts.tolist(), ends.tolist())
+    clusters = [
+        ClusterGraph(tuple(ordered[lo:hi]), lo_om, hi_om, (hi_om - lo_om) / hi_om)
+        for (lo, hi), lo_om, hi_om in zip(bounds, omega_min, omega_max)
+    ]
     clusters.sort(key=lambda c: (-c.size, c.omega_min, c.triads))
     return clusters
-
-
-def carrier_counts(triads: Iterable[Triad]) -> Counter[int]:
-    """Number of triads carrying each wavenumber value (k1 = k2 counts once)."""
-    return Counter(v for t in triads for v in set(t.wavenumbers))
 
 
 def identification_count(cluster: ClusterGraph) -> int:
     """Number of shared-mode identifications: for each wavenumber value carried
     by m triads of the cluster, m - 1 mode slots merge into one."""
-    return sum(m - 1 for m in carrier_counts(cluster.triads).values())
+    return sum(len(a) + len(p) - 1 for _, a, p in _role_groups(cluster.triads))
 
 
 def conservation_count(cluster: ClusterGraph) -> int:
@@ -207,18 +217,12 @@ def conservation_count(cluster: ClusterGraph) -> int:
     matches the dimension of the conserved-quadratic space (see
     :func:`capwaves.dynamics.conserved_quadratics`).
     """
-    seen: set = set()
-    for c in cluster.connections:
-        key = (c.triad_a, c.triad_b, c.shared_k)
-        size = len(seen)
-        seen.add(key)  # one hash per key: a duplicate leaves the set unchanged
-        if len(seen) == size:
-            raise ValueError(f"duplicate connection in cluster: {key}")
-    count = 2 * cluster.size - identification_count(cluster)
+    n = identification_count(cluster)
+    count = 2 * cluster.size - n
     if count < 1:
         raise ValueError(
             f"over-connected cluster: 2N - n = {count} < 1 "
-            f"(N={cluster.size}, identifications={identification_count(cluster)})"
+            f"(N={cluster.size}, identifications={n})"
         )
     return count
 
@@ -232,14 +236,15 @@ def coupling_ratio_hints(
     1/2 is known to make the dynamics integrable for arbitrary initial
     conditions; this flags connected pairs whose |Z_a / Z_b| falls within
     rel_tol of one of those values.  Reporting only; no classification is
-    attempted.
+    attempted.  The edges are walked from the role groups, so a cluster's
+    ``connections`` are not built for this.
     """
     hints = []
-    for conn in cluster.connections:
-        ratio = abs(conn.triad_a.z / conn.triad_b.z)
+    for edge in _edges(cluster.triads):
+        ratio = abs(edge[0].z / edge[1].z)
         for target in INTEGRABLE_RATIOS:
             if abs(ratio - target) <= rel_tol * target:
-                hints.append((conn, target))
+                hints.append((Connection(*edge), target))
                 break
     return hints
 
@@ -268,7 +273,8 @@ def clusters_to_json(
     """JSON-ready description of a clustering run (deterministic ordering)."""
     out = {"epsilon": epsilon, "sigma": params.sigma, "kmax": kmax, "clusters": []}
     for cl in clusters:
-        index = {t: i for i, t in enumerate(cl.triads)} if cl.connections else {}
+        conns = cl.connections
+        index = {t: i for i, t in enumerate(cl.triads)} if conns else {}
         out["clusters"].append(
             {
                 "triads": [[t.k1, t.k2, t.k3] for t in cl.triads],
@@ -281,7 +287,7 @@ def clusters_to_json(
                         "shared_k": c.shared_k,
                         "kind": c.kind,
                     }
-                    for c in cl.connections
+                    for c in conns
                 ],
             }
         )

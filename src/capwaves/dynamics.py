@@ -44,7 +44,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .clustering import ClusterGraph, carrier_counts
+from .clustering import ClusterGraph, _role_groups
 from .resonance_search import Triad
 
 __all__ = [
@@ -166,7 +166,7 @@ def build_system(cluster: ClusterGraph) -> ClusterSystem:
     a value is additionally shared with another triad the mapping would be
     ambiguous and a structural error is raised.
     """
-    carriers = carrier_counts(cluster.triads)
+    shared = {value for value, _, _ in _role_groups(cluster.triads)}
     modes: list[int] = []
     value_slot: dict[int, int] = {}
     terms: list[TriadTerm] = []
@@ -175,7 +175,7 @@ def build_system(cluster: ClusterGraph) -> ClusterSystem:
         for pos, v in enumerate(t.wavenumbers):
             duplicate = pos == 1 and t.k2 == t.k1
             if duplicate:
-                if carriers[v] > 1:
+                if v in shared:
                     raise ValueError(
                         f"inconsistent sharing: value {v} is duplicated inside triad "
                         f"{t.wavenumbers} and shared with another triad"

@@ -66,14 +66,6 @@ class Triad:
     def wavenumbers(self) -> tuple[int, int, int]:
         return (self.k1, self.k2, self.k3)
 
-    def role(self, k: int) -> str:
-        """'A' if k is the active (sum) mode of this triad, 'P' if passive."""
-        if k == self.k3:
-            return "A"
-        if k in (self.k1, self.k2):
-            return "P"
-        raise ValueError(f"wavenumber {k} does not belong to triad {self.wavenumbers}")
-
 
 class InteractionKind(enum.Enum):
     EXACT = "exact"

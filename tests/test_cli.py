@@ -279,6 +279,21 @@ class TestSimulate:
         config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"])
         assert main(["simulate", "--config", str(config), "--cluster-id", "99999"]) == 2
 
+    @pytest.mark.parametrize(
+        "initial, flags",
+        [
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--cluster-id", "99999"]),
+            (["1 1.0 0.0", "2 0.8 0.0"], []),
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0", "7 1.0 0.0"], []),
+        ],
+        ids=["cluster-id", "missing", "unknown"],
+    )
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, initial, flags):
+        config = self._config(tmp_path, initial)
+        assert main(["simulate", "--config", str(config), *flags]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_integration_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         message = "integration failed at t=0.25: Required step size is less than spacing"
 

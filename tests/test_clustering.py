@@ -1,6 +1,6 @@
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 
 from capwaves import (
     ClusterGraph,
+    Connection,
     FluidParams,
     Triad,
     build_clusters,
+    build_system,
     clusters_to_json,
-    connection_type,
     conservation_count,
     coupling_ratio_hints,
     enumerate_triads,
     export_nr_diagram,
     identification_count,
 )
+from capwaves.cli import _cluster_summary
 
 PAIRS_1E4 = {
     frozenset({(20, 94, 114), (24, 70, 94)}),
@@ -37,27 +39,32 @@ def _multi_sets(clusters):
     return {frozenset(t.wavenumbers for t in c.triads) for c in clusters if c.size > 1}
 
 
+def _pair_edge(triads_by_wn, a, b):
+    """The one typed edge of the two-triad cluster {a, b}."""
+    [cluster] = build_clusters([triads_by_wn[a], triads_by_wn[b]], 0.99)
+    [conn] = cluster.connections
+    assert cluster.kind_counts == {conn.kind: 1}
+    return conn
+
+
 class TestConnectionType:
     def test_joint_active_mode(self, triads_by_wn):
-        conn = connection_type(triads_by_wn[(50, 50, 100)], triads_by_wn[(49, 51, 100)], 100)
-        assert conn.kind == "AA"
+        conn = _pair_edge(triads_by_wn, (50, 50, 100), (49, 51, 100))
+        assert (conn.shared_k, conn.kind) == (100, "AA")
 
     def test_active_passive(self, triads_by_wn):
-        conn = connection_type(triads_by_wn[(48, 48, 96)], triads_by_wn[(28, 96, 124)], 96)
-        assert conn.kind == "AP"
+        conn = _pair_edge(triads_by_wn, (48, 48, 96), (28, 96, 124))
+        assert (conn.shared_k, conn.kind) == (96, "AP")
 
     def test_published_pair_is_active_passive(self, triads_by_wn):
         # 94 is the sum mode of (24,70,94) but a passive mode of (20,94,114)
-        conn = connection_type(triads_by_wn[(20, 94, 114)], triads_by_wn[(24, 70, 94)], 94)
-        assert conn.kind == "AP"
+        conn = _pair_edge(triads_by_wn, (20, 94, 114), (24, 70, 94))
+        assert (conn.shared_k, conn.kind) == (94, "AP")
+        assert conn.triad_a.wavenumbers == (24, 70, 94)  # the A-sharer comes first
 
     def test_joint_passive_mode(self, triads_by_wn):
-        conn = connection_type(triads_by_wn[(5, 9, 14)], triads_by_wn[(5, 11, 16)], 5)
-        assert conn.kind == "PP"
-
-    def test_missing_wavenumber_rejected(self, triads_by_wn):
-        with pytest.raises(ValueError):
-            connection_type(triads_by_wn[(5, 9, 14)], triads_by_wn[(5, 11, 16)], 9)
+        conn = _pair_edge(triads_by_wn, (5, 9, 14), (5, 11, 16))
+        assert (conn.shared_k, conn.kind) == (5, "PP")
 
 
 class TestBuildClusters:
@@ -99,11 +106,20 @@ class TestBuildClusters:
         for cluster in clusters_1e3:
             assert cluster.spread <= (cluster.size - 1) * 1e-3 + 1e-15
 
-    def test_connection_kinds_recomputable(self, clusters_1e3):
-        for cluster in clusters_1e3:
-            for conn in cluster.connections:
-                again = connection_type(conn.triad_a, conn.triad_b, conn.shared_k)
-                assert again.kind == conn.kind
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+    def test_edges_built_only_on_request(self, triads_100, epsilon):
+        clusters = [c for c in build_clusters(triads_100, epsilon) if c.size > 1]
+        for i, cluster in enumerate(clusters):
+            identification_count(cluster)
+            for call in (conservation_count, build_system,
+                         lambda c: _cluster_summary(i, c, epsilon)):
+                try:
+                    call(cluster)
+                except ValueError:  # over-connected or inconsistently shared
+                    pass
+        assert all(c._connections is None for c in clusters)
+        for cluster in clusters:
+            assert cluster.connections is cluster._connections
 
     def test_isolated_triads_reported(self, triads_100):
         clusters = build_clusters(triads_100, 1e-8)
@@ -145,19 +161,11 @@ class TestConservationCount:
         assert identification_count(cluster) == 3
         assert conservation_count(cluster) == 5
 
-    def test_duplicate_connection_rejected(self, triads_by_wn):
-        t1 = triads_by_wn[(5, 9, 14)]
-        t2 = triads_by_wn[(5, 11, 16)]
-        conn = connection_type(t1, t2, 5)
-        bad = ClusterGraph(
-            triads=(t1, t2),
-            connections=(conn, conn),
-            omega_min=t1.omega_gen,
-            omega_max=t2.omega_gen,
-            spread=0.1,
-        )
-        with pytest.raises(ValueError, match="duplicate"):
-            conservation_count(bad)
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
+    def test_identification_count_tallies_carriers(self, triads_100, epsilon):
+        for cluster in build_clusters(triads_100, epsilon):
+            carriers = Counter(v for t in cluster.triads for v in set(t.wavenumbers))
+            assert identification_count(cluster) == sum(m - 1 for m in carriers.values())
 
 
 class TestExport:
@@ -223,7 +231,8 @@ def _reference_build_clusters(triads, epsilon):
     """The window union-find over per-value candidate lists that build_clusters
     replaced, kept verbatim in behaviour as the reference: every pair of a
     value's vorticity-sorted list is tested until the first failure, and each
-    edge is typed through connection_type."""
+    edge is typed by the roles of the shared value in its two triads.  Returns
+    (cluster, connections) pairs."""
     triads = list(triads)
     parent = list(range(len(triads)))
 
@@ -249,6 +258,12 @@ def _reference_build_clusters(triads, epsilon):
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
                 j += 1
+
+    def typed(a, b, value):
+        roles = tuple("A" if t.k3 == value else "P" for t in (a, b))
+        assert all(value in t.wavenumbers for t in (a, b))
+        return Connection(a, b, value, {("A", "A"): "AA", ("P", "P"): "PP"}.get(roles, "AP"))
+
     members = defaultdict(list)
     for i in range(len(triads)):
         members[find(i)].append(triads[i])
@@ -270,35 +285,37 @@ def _reference_build_clusters(triads, epsilon):
             passives.sort()
             for i in range(len(actives)):
                 for j in range(i + 1, len(actives)):
-                    conns.append(connection_type(actives[i], actives[j], value))
+                    conns.append(typed(actives[i], actives[j], value))
             if actives:
-                conns += [connection_type(actives[0], p, value) for p in passives]
+                conns += [typed(actives[0], p, value) for p in passives]
             else:
                 for i in range(len(passives)):
                     for j in range(i + 1, len(passives)):
-                        conns.append(connection_type(passives[i], passives[j], value))
+                        conns.append(typed(passives[i], passives[j], value))
         oms = [t.omega_gen for t in comp]
         omega_min, omega_max = min(oms), max(oms)
-        clusters.append(
-            ClusterGraph(
-                triads=tuple(comp),
-                connections=tuple(conns),
-                omega_min=omega_min,
-                omega_max=omega_max,
-                spread=(omega_max - omega_min) / omega_max,
-            )
+        cluster = ClusterGraph(
+            triads=tuple(comp),
+            omega_min=omega_min,
+            omega_max=omega_max,
+            spread=(omega_max - omega_min) / omega_max,
         )
-    clusters.sort(key=lambda c: (-c.size, c.omega_min, c.triads))
+        clusters.append((cluster, tuple(conns)))
+    clusters.sort(key=lambda c: (-c[0].size, c[0].omega_min, c[0].triads))
     return clusters
 
 
 def _assert_same_clusters(clusters, reference):
     # compared cluster by cluster, so that a failure names the first
-    # difference instead of diffing two full reprs
+    # difference instead of diffing two full reprs; graph equality covers the
+    # triads and the vorticity range, so the edges are compared on their own
     assert len(clusters) == len(reference)
-    for i, (got, want) in enumerate(zip(clusters, reference)):
+    for i, (got, (want, want_connections)) in enumerate(zip(clusters, reference)):
         same = got == want
         assert same, f"cluster {i}: {got.size} triads, reference {want.size}"
+        same = got.connections == want_connections
+        assert same, f"cluster {i}: {len(got.connections)} edges, {len(want_connections)} wanted"
+        assert got.kind_counts == Counter(c.kind for c in got.connections), f"cluster {i}"
 
 
 class TestAdjacentLinkEquivalence:
