@@ -36,12 +36,10 @@ from .dynamics import (
     DenseSolution,
     Drift,
     IntegrationError,
-    Regime,
     TrajectorySample,
     TriadTerm,
     build_system,
     characteristic_time,
-    classify_regime,
     conserved_quadratics,
     drift_report,
     dynamical_phases,
@@ -54,12 +52,8 @@ from .dynamics import (
     time_derivative,
 )
 from .resonance_search import (
-    InteractionClass,
-    InteractionKind,
     Triad,
-    classify_interaction,
     enumerate_triads,
-    interaction_bounds,
     min_positive_width,
     resonance_width,
 )

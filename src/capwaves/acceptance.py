@@ -461,10 +461,17 @@ ALL_CHECKS = [
 
 
 def run_all(report=print) -> list[CheckResult]:
-    """Run every check, reporting one line per check; returns all results."""
+    """Run every check, reporting one line per check; returns all results.
+
+    A check that raises is reported as a failure carrying the exception, and
+    the remaining checks still run.
+    """
     results = []
     for check in ALL_CHECKS:
-        result = check()
+        try:
+            result = check()
+        except Exception as exc:
+            result = CheckResult(check.__name__, False, repr(exc), "no exception")
         results.append(result)
         if report is not None:
             report(result.line())

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +74,8 @@ class RunConfig:
             raise ValueError("kmax, samples and cluster_id out of range")
 
 
-_SCALAR_FIELDS = {
-    "sigma": float,
-    "kmax": int,
-    "epsilon": float,
-    "t_end": float,
-    "tol": float,
-    "samples": int,
-    "cluster_id": int,
-    "out": str,
-}
+# every scalar default already has its field's type
+_SCALAR_FIELDS = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "initial"}
 
 
 def parse_config(text: str) -> RunConfig:

@@ -33,7 +33,6 @@ every integration owns its state.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from bisect import bisect_left
@@ -53,7 +52,6 @@ __all__ = [
     "TrajectorySample",
     "IntegrationError",
     "DenseSolution",
-    "Regime",
     "Drift",
     "build_system",
     "time_derivative",
@@ -67,7 +65,6 @@ __all__ = [
     "characteristic_time",
     "measure_period",
     "refine_minimum",
-    "classify_regime",
     "mode_labels",
 ]
 
@@ -149,12 +146,6 @@ class TrajectorySample:
     hamiltonian: float
     invariants: np.ndarray  # conserved quadratics, basis order of conserved_quadratics
     phases: np.ndarray  # per-triad dynamical phase in (-pi, pi], NaN when undefined
-
-
-class Regime(enum.Enum):
-    DISCRETE = "discrete"
-    MESOSCOPIC = "mesoscopic"
-    KINETIC = "kinetic"
 
 
 def build_system(cluster: ClusterGraph) -> ClusterSystem:
@@ -616,22 +607,3 @@ def measure_period(
         raise ValueError("t_end too short to bracket two minima")
     t_second = refine_min(t_first + coarse)
     return t_second - t_first
-
-
-def classify_regime(broadening: float, z: float, b_char: float) -> Regime:
-    """Wave-turbulence regime from resonance broadening vs. the nonlinear rate |Z B|.
-
-    The ratio rho = broadening / |Z B| selects: discrete for rho < 0.1,
-    kinetic for rho > 10, mesoscopic in between.
-    """
-    if broadening < 0.0:
-        raise ValueError(f"broadening must be nonnegative, got {broadening}")
-    rate = abs(z * b_char)
-    if rate == 0.0:
-        raise ValueError("nonlinear rate Z * B must be nonzero")
-    ratio = broadening / rate
-    if ratio < 0.1:
-        return Regime.DISCRETE
-    if ratio > 10.0:
-        return Regime.KINETIC
-    return Regime.MESOSCOPIC

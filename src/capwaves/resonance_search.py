@@ -3,8 +3,7 @@
 A triad is a pair of positive wavenumbers (k1 <= k2) together with its sum
 mode k3 = k1 + k2, the vorticity that closes it exactly and the coupling
 coefficient there.  The resonance width of a candidate pair under an
-arbitrary vorticity quantifies how far it is from exact resonance and feeds
-the exact / quasi-resonant / approximate classification.
+arbitrary vorticity quantifies how far it is from exact resonance.
 
 Enumeration is columnar: :func:`triad_columns` evaluates the closed-form
 vorticity and the coupling over the whole (k1 <= k2) grid with vectorized
@@ -16,8 +15,6 @@ triad.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +29,10 @@ from .dispersion import (
 
 __all__ = [
     "Triad",
-    "InteractionKind",
-    "InteractionClass",
     "triad_columns",
     "enumerate_triads",
     "resonance_width",
     "min_positive_width",
-    "interaction_bounds",
-    "classify_interaction",
 ]
 
 
@@ -65,20 +58,6 @@ class Triad:
     @property
     def wavenumbers(self) -> tuple[int, int, int]:
         return (self.k1, self.k2, self.k3)
-
-
-class InteractionKind(enum.Enum):
-    EXACT = "exact"
-    QUASI = "quasi"
-    APPROXIMATE = "approximate"
-
-
-@dataclass(frozen=True)
-class InteractionClass:
-    """Classification of one candidate interaction plus its width delta (1/s)."""
-
-    kind: InteractionKind
-    delta: float
 
 
 def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
@@ -148,47 +127,9 @@ def min_positive_width(kmax: int, omega_cap: float, params: FluidParams) -> floa
     are treated as exact resonances and excluded; this estimates the gap
     separating the quasi-resonant band from exact resonance.
     """
-    return interaction_bounds(kmax, omega_cap, params)[0]
-
-
-def interaction_bounds(kmax: int, omega_cap: float, params: FluidParams) -> tuple[float, float]:
-    """(r, r_max) width bounds for classification at the given vorticity.
-
-    r is the smallest positive width on the grid (quasi-resonance threshold,
-    :func:`min_positive_width`); r_max the largest width present, beyond
-    which a mismatch no longer corresponds to any in-domain interaction.
-    """
     k1, k2, k3 = _pair_grid(kmax)
     widths = np.abs(_width(k1, k2, omega_cap, params))
     positive = widths >= RESONANCE_REL_TOL * branch_frequency(k3, omega_cap, params)
     if not positive.any():
         raise ValueError("no positive width in domain: every candidate is exactly resonant")
-    return float(widths[positive].min()), float(widths.max())
-
-
-def classify_interaction(
-    delta: float, r: float, r_max: float, *, exact_tol: float = 0.0
-) -> InteractionClass:
-    """Classify a width delta as exact, quasi-resonant or approximate.
-
-    Exact for delta <= exact_tol; quasi for delta < r; approximate for
-    r <= delta < r_max.  A delta at or beyond r_max is still reported as
-    approximate, with a diagnostic warning, since it exceeds the distance to
-    the nearest in-domain interaction.
-    """
-    if delta < 0.0:
-        raise ValueError(f"width must be nonnegative, got {delta}")
-    if not (0.0 <= r <= r_max):
-        raise ValueError(f"require 0 <= r <= r_max, got r={r}, r_max={r_max}")
-    if delta <= exact_tol:
-        kind = InteractionKind.EXACT
-    elif delta < r:
-        kind = InteractionKind.QUASI
-    else:
-        if delta >= r_max:
-            warnings.warn(
-                f"width {delta} is at or beyond the largest in-domain width {r_max}",
-                stacklevel=2,
-            )
-        kind = InteractionKind.APPROXIMATE
-    return InteractionClass(kind, float(delta))
+    return float(widths[positive].min())

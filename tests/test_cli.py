@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(sigma=-1.0)
+
+    def test_parsed_scalars_have_their_annotated_types(self):
+        # the parser takes each scalar's type from the field's default
+        config = parse_config(serialize_config(RunConfig()))
+        for f in fields(RunConfig):
+            if f.name != "initial":
+                assert type(getattr(config, f.name)).__name__ == f.type, f.name
 
 
 class TestUsageErrors:
@@ -335,3 +343,16 @@ class TestValidateWiring:
         monkeypatch.setattr(capwaves.acceptance, "ALL_CHECKS", fake)
         assert main(["validate"]) == 1
         assert "[FAIL] stub-b" in capsys.readouterr().out
+
+    def test_crashing_check_is_a_fail_line(self, monkeypatch, capsys):
+        def crashing_check():
+            raise RuntimeError("boom")
+
+        fake = [crashing_check, lambda: CheckResult("stub-b", True, "2", "2")]
+        monkeypatch.setattr(capwaves.acceptance, "ALL_CHECKS", fake)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "[FAIL] crashing_check: measured RuntimeError('boom'); expected no exception" in out
+        )
+        assert "[PASS] stub-b" in out and "1/2 checks passed" in out

@@ -6,16 +6,14 @@ from scipy.optimize import brentq
 
 from capwaves import (
     FluidParams,
-    InteractionKind,
     branch_frequency,
-    classify_interaction,
     enumerate_triads,
-    interaction_bounds,
     min_positive_width,
     min_resonant_vorticity,
     resonance_width,
     resonant_vorticity,
 )
+from capwaves.dispersion import RESONANCE_REL_TOL
 
 
 class TestEnumerateTriads:
@@ -100,6 +98,21 @@ class TestMinPositiveWidth:
             resonance_width(1, 1, 0.0, params_unit), rel=1e-15
         )
 
+    @pytest.mark.parametrize("pair", [None, (5, 7)])
+    def test_brute_force_minimum(self, params_unit, pair):
+        omega = 0.0 if pair is None else resonant_vorticity(*pair, params_unit)
+        widths = {
+            (k1, k2): resonance_width(k1, k2, omega, params_unit)
+            for k1 in range(1, 21)
+            for k2 in range(k1, 21)
+        }
+        expected = min(
+            w
+            for (k1, k2), w in widths.items()
+            if w >= RESONANCE_REL_TOL * branch_frequency(k1 + k2, omega, params_unit)
+        )
+        assert min_positive_width(20, omega, params_unit) == pytest.approx(expected, rel=1e-15)
+
     def test_irrotational_domain_is_frozen(self, params_unit):
         # without vorticity no pair comes close to resonance
         assert min_positive_width(100, 0.0, params_unit) > 1e-6
@@ -110,45 +123,10 @@ class TestMinPositiveWidth:
         assert width > 0.0
 
     def test_empty_domain_rejected(self, params_unit):
-        for bounds in (min_positive_width, interaction_bounds):
-            with pytest.raises(ValueError, match="kmax must be a positive integer"):
-                bounds(0, 0.0, params_unit)
+        with pytest.raises(ValueError, match="kmax must be a positive integer"):
+            min_positive_width(0, 0.0, params_unit)
 
     def test_all_exact_domain_raises(self, params_unit):
         omega = resonant_vorticity(1, 1, params_unit)
         with pytest.raises(ValueError, match="no positive width"):
             min_positive_width(1, omega, params_unit)
-
-
-class TestClassifyInteraction:
-    def test_exact(self):
-        assert classify_interaction(0.0, 1.0, 10.0).kind is InteractionKind.EXACT
-
-    def test_quasi(self):
-        assert classify_interaction(0.5, 1.0, 10.0).kind is InteractionKind.QUASI
-
-    def test_left_boundary_is_approximate(self):
-        assert classify_interaction(1.0, 1.0, 10.0).kind is InteractionKind.APPROXIMATE
-
-    def test_out_of_range_warns(self):
-        with pytest.warns(UserWarning):
-            result = classify_interaction(20.0, 1.0, 10.0)
-        assert result.kind is InteractionKind.APPROXIMATE
-
-    def test_exactness_tolerance(self):
-        assert classify_interaction(1e-12, 1.0, 10.0, exact_tol=1e-9).kind is (
-            InteractionKind.EXACT
-        )
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            classify_interaction(-1.0, 1.0, 10.0)
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            classify_interaction(0.5, 5.0, 1.0)
-
-    def test_bounds_helper(self, params_unit):
-        r, r_max = interaction_bounds(20, 0.0, params_unit)
-        assert 0.0 < r <= r_max
-        assert classify_interaction(0.5 * r, r, r_max).kind is InteractionKind.QUASI
