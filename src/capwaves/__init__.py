@@ -36,7 +36,6 @@ from .dynamics import (
     DenseSolution,
     Drift,
     IntegrationError,
-    TrajectorySample,
     TriadTerm,
     build_system,
     characteristic_time,

@@ -143,10 +143,6 @@ def _prepare_out(config: RunConfig) -> Path:
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # one triads.json entry, laid out as json.dumps(indent=2, sort_keys=True) does
 _JSON_ROW = """    {
       "k1": %d,
@@ -250,30 +246,25 @@ def cmd_simulate(config: RunConfig) -> int:
     )
     t_char = characteristic_time(system, state0)
     t_end = config.t_end * t_char
-    samples = integrate(system, state0, t_end, tol=config.tol, samples=config.samples)
-    labels = mode_labels(system)
+    traj = integrate(system, state0, t_end, tol=config.tol, samples=config.samples)
     basis = conserved_quadratics(system)
-    n_inv = len(basis)
     header = ["t"]
-    for label in labels:
+    for label in mode_labels(system):
         header += [f"re_{label}", f"im_{label}", f"abs2_{label}"]
     header.append("H")
-    header += [f"inv_{i}" for i in range(n_inv)]
+    header += [f"inv_{i}" for i in range(len(basis))]
     header += [f"phi_{j}" for j in range(system.n_triads)]
-    rows = [",".join(header)]
-    for s in samples:
-        cols = [_fmt(s.t)]
-        for m in range(system.n_modes):
-            b = s.state[m]
-            cols += [_fmt(b.real), _fmt(b.imag), _fmt(abs(b) ** 2)]
-        cols.append(_fmt(s.hamiltonian))
-        cols += [_fmt(q) for q in s.invariants]
-        cols += [_fmt(p) for p in s.phases]
-        rows.append(",".join(cols))
+    b = traj.state
+    # hypot then float_power round as the scalar abs(b) ** 2 does; numpy's
+    # array abs and ** 2 differ from it in the last bit on some values
+    abs2 = np.float_power(np.hypot(b.real, b.imag), 2.0)
+    modes = np.stack([b.real, b.imag, abs2], axis=2).reshape(len(traj), -1)
+    table = np.column_stack([traj.t, modes, traj.hamiltonian, traj.invariants, traj.phases])
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
     (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
 
-    drift = drift_report(system, basis, state0, samples)
-    lock = phase_lock_residual([s.phases for s in samples])
+    drift = drift_report(system, basis, state0, traj)
+    lock = phase_lock_residual(traj.phases)
     try:
         period = measure_period(system, state0, t_end, tol=min(config.tol, 1e-11))
         period_text = f"{period:.9g}"

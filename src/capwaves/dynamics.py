@@ -25,7 +25,8 @@ The right-hand side loops over the triads on Python complex numbers: cheaper
 per call than numpy scalars at every size, and than a numpy gather for small
 clusters and isolated triads.  Everything evaluated along a trajectory
 (Hamiltonian, phases, invariants, period grids) works on whole sample grids
-at once.
+at once, and a trajectory is one record array whose columns (time, state,
+Hamiltonian, invariants, phases) its readers take whole.
 
 A ClusterSystem is immutable once built and can be shared across threads;
 every integration owns its state.
@@ -49,7 +50,6 @@ from .resonance_search import Triad
 __all__ = [
     "TriadTerm",
     "ClusterSystem",
-    "TrajectorySample",
     "IntegrationError",
     "DenseSolution",
     "Drift",
@@ -137,15 +137,6 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.t_last = t_last
         self.state_last = state_last
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: np.ndarray  # complex amplitudes per slot
-    hamiltonian: float
-    invariants: np.ndarray  # conserved quadratics, basis order of conserved_quadratics
-    phases: np.ndarray  # per-triad dynamical phase in (-pi, pi], NaN when undefined
 
 
 def build_system(cluster: ClusterGraph) -> ClusterSystem:
@@ -340,22 +331,22 @@ def drift_report(
     system: ClusterSystem,
     basis: np.ndarray,
     initial: np.ndarray,
-    trajectory: list[TrajectorySample],
+    trajectory: np.recarray,
 ) -> Drift:
     """Drift of the conserved quantities along a trajectory, against natural magnitudes.
 
-    A quadratic with cancelling signs can start near zero, so each quantity
-    is measured against the size of its contributions at the initial state:
-    sum_m |c_m| |B_m|² for a quadratic, sum_j |Z_j| |B1 B2 B3| for the
-    Hamiltonian, or the initial value where that is larger.  A quantity whose
-    contributions all vanish initially has no natural magnitude and is
-    measured in absolute terms.
+    Reads the ``hamiltonian`` (T,) and ``invariants`` (T, K) columns of an
+    :func:`integrate` trajectory.  A quadratic with cancelling signs can start
+    near zero, so each quantity is measured against the size of its
+    contributions at the initial state: sum_m |c_m| |B_m|² for a quadratic,
+    sum_j |Z_j| |B1 B2 B3| for the Hamiltonian, or the initial value where
+    that is larger.  A quantity whose contributions all vanish initially has
+    no natural magnitude and is measured in absolute terms.
     """
     b0 = np.asarray(initial)
     index, z = system.term_arrays
     b = b0[index]
-    h = np.array([s.hamiltonian for s in trajectory])
-    q = np.array([s.invariants for s in trajectory])
+    h, q = trajectory.hamiltonian, trajectory.invariants
     h_scale = max(abs(h[0]), float(np.abs(z) @ np.abs(b[0] * b[1] * b[2])))
     q_scale = np.maximum(np.abs(q[0]), np.abs(basis).astype(float) @ (np.abs(b0) ** 2))
     q_scale[q_scale == 0.0] = 1.0
@@ -472,15 +463,17 @@ def solve_dense(
     The returned :class:`DenseSolution` maps a time (scalar or array) to the
     complex state, bit-identical to scipy's ``OdeSolution`` of the same
     solve, which is dropped once restacked; ``slot(m)`` evaluates one slot.
-    :func:`integrate` and :func:`measure_period` are built on it, and it is
+    :func:`integrate` and :func:`measure_period` are built on it and leave it
+    the one check that ``t_end`` and ``tol`` are positive and finite.  It is
     the handle to use when comparing trajectories against closed-form
     solutions at arbitrary times.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (system.n_modes,):
         raise ValueError(f"initial state must have shape ({system.n_modes},)")
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    for name, value in (("t_end", t_end), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     scale = max(float(np.max(np.abs(initial))), 1.0)
     rows, n_modes = system.term_rows, system.n_modes
     sol = solve_ivp(
@@ -507,29 +500,34 @@ def integrate(
     t_end: float,
     tol: float = 1e-10,
     samples: int = 1000,
-) -> list[TrajectorySample]:
+) -> np.recarray:
     """Integrate the cluster from the given state over [0, t_end].
 
     Samples are taken at a fixed time stride through the integrator's dense
-    output.  Each sample carries the Hamiltonian, every conserved quadratic
-    and the per-triad dynamical phases; the relative drift of the conserved
+    output.  The trajectory is a record array with one row per sample and
+    the columns ``t`` (T,), ``state`` (T, M), ``hamiltonian`` (T,), every
+    conserved quadratic ``invariants`` (T, K) in the basis order of
+    :func:`conserved_quadratics`, and the per-triad dynamical ``phases``
+    (T, N) in (-pi, pi], NaN where undefined; a row reads the same fields
+    (``traj[i].hamiltonian``).  The relative drift of the conserved
     quantities stays below ~100 tol.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    dense = solve_dense(system, initial, t_end, tol)  # checks t_end and tol first
     times = np.linspace(0.0, t_end, samples)
-    # the dense solution is dropped once sampled, before the block evaluations
-    states = solve_dense(system, initial, t_end, tol)(times)
+    states = dense(times)
+    del dense  # dropped once sampled, before the block evaluations
     basis = conserved_quadratics(system).astype(float)
-    hams = hamiltonian(system, states)
-    invariants = np.abs(states.T) ** 2 @ basis.T
-    phases = dynamical_phases(system, states).T
-    return [
-        TrajectorySample(t=float(t), state=state, hamiltonian=float(h), invariants=q, phases=phi)
-        for t, state, h, q, phi in zip(times, states.T, hams, invariants, phases)
-    ]
+    traj = np.recarray(samples, dtype=[
+        ("t", float), ("state", complex, (system.n_modes,)), ("hamiltonian", float),
+        ("invariants", float, (len(basis),)), ("phases", float, (system.n_triads,)),
+    ])
+    traj.t, traj.state = times, states.T
+    traj.hamiltonian = hamiltonian(system, states)
+    traj.invariants = np.abs(states.T) ** 2 @ basis.T
+    traj.phases = dynamical_phases(system, states).T
+    return traj
 
 
 def _interior_minimum(vals: np.ndarray, first: bool = False) -> int:

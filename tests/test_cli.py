@@ -163,6 +163,26 @@ GOLDEN_CLUSTER = {
     "1e-3": ("b6492184531c66d6a21e2b6a7f5dd9daf54e4cdb00246f1f73e14be0d6048c28",
              159, "824d0a03567de28da58b8eb0184f03326eeaf4bbe2b1852ad5839c071d218150"),
 }
+# `capwaves simulate` at kmax 100, epsilon 1e-3, cluster 0 (5 triads on the
+# modes 84..92 and 176, 88 doubled) from the [initial] rows below, recorded
+# from the per-sample CSV writer; stdout is hashed with the output directory
+# replaced by "OUT"
+SIMULATE_INITIAL = """\
+84 0.9 0.1
+85 0.7 -1.3
+86 1.1 2.2
+87 0.5 0.4
+88 0.8 -0.6
+89 0.6 1.7
+90 1.0 -2.5
+91 0.4 0.9
+92 1.2 -0.2
+176 0.75 3.0
+"""
+GOLDEN_SIMULATE = {
+    "trajectory.csv": "8facb01a52d467415f86a94077610be08b6fe3992a4a37a42fe6db74f02485e2",
+    "stdout": "6d61d52e5262b4f4aa104f4da5ede65bff95f85439ebfa7c6d3d894d09ba27cf",
+}
 
 
 class TestGoldenArtifacts:
@@ -183,6 +203,17 @@ class TestGoldenArtifacts:
         for path in dots:
             h.update(path.name.encode() + b"\0" + path.read_bytes())
         assert h.hexdigest() == dots_digest
+
+    def test_simulate(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text("kmax = 100\nepsilon = 1e-3\ncluster_id = 0\n\n[initial]\n"
+                          + SIMULATE_INITIAL)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT").encode()
+        csv = (out / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == GOLDEN_SIMULATE["trajectory.csv"]
+        assert hashlib.sha256(stdout).hexdigest() == GOLDEN_SIMULATE["stdout"]
 
 
 class TestCluster:

@@ -247,6 +247,25 @@ class TestTrajectoryArrays:
         assert undefined.any()
         np.testing.assert_array_equal(np.isnan(phases), undefined)
 
+    def test_record_columns_match_rows(self, three_star):
+        rng = np.random.default_rng(43)
+        b0 = rng.uniform(0.4, 1.2, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        traj = integrate(three_star, b0, 5.0 * characteristic_time(three_star, b0), samples=30)
+        assert isinstance(traj, np.recarray)
+        assert traj.dtype.names == ("t", "state", "hamiltonian", "invariants", "phases")
+        assert traj.t.shape == traj.hamiltonian.shape == (30,)
+        assert traj.state.shape == (30, three_star.n_modes) and traj.state.dtype == complex
+        assert traj.invariants.shape == (30, len(conserved_quadratics(three_star)))
+        assert traj.phases.shape == (30, three_star.n_triads)
+        for i, row in enumerate(traj):
+            assert row.t == traj.t[i] and traj[i].hamiltonian == traj.hamiltonian[i]
+            np.testing.assert_array_equal(row.state, traj.state[i])
+            np.testing.assert_array_equal(row.invariants, traj.invariants[i])
+            np.testing.assert_array_equal(row.phases, traj.phases[i])
+        [start] = integrate(three_star, b0, traj.t[-1], samples=1)
+        assert start.t == 0.0
+        np.testing.assert_array_equal(start.state, b0)
+
     def test_integrate_samples_match_single_state_evaluation(self, three_star):
         rng = np.random.default_rng(41)
         b0 = rng.uniform(0.4, 1.2, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
@@ -401,12 +420,23 @@ class TestIntegrate:
                 worst = max(worst, min(abs(phi), math.pi - abs(phi)))
         assert worst < 1e-6
 
-    def test_invalid_arguments(self, triad_system):
+    @pytest.mark.parametrize(
+        "entry, t_end, tol, samples",
+        [
+            pytest.param(entry, t_end, tol, 10, id=f"{entry.__name__}-t_end={t_end}-tol={tol}")
+            for entry in (integrate, solve_dense, measure_period)
+            for t_end, tol in [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+                               (0.0, 1e-10), (-1.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10)]
+        ]
+        + [pytest.param(integrate, 1.0, 1e-10, 0, id="integrate-samples=0")],
+    )
+    def test_invalid_arguments(self, triad_system, entry, t_end, tol, samples):
+        # rejected before the solve starts: a NaN tol or an infinite span
+        # would otherwise keep the integrator stepping without end
         b0 = np.array([1.0, 0.5, 0.2], dtype=complex)
-        with pytest.raises(ValueError):
-            integrate(triad_system, b0, -1.0)
-        with pytest.raises(ValueError):
-            integrate(triad_system, b0, 1.0, tol=0.0)
+        kwargs = {"samples": samples} if entry is integrate else {}
+        with pytest.raises(ValueError, match="must be positive and finite|samples must be"):
+            entry(triad_system, b0, t_end, tol, **kwargs)
 
 
 class TestDynamicalPhases:
