@@ -240,13 +240,14 @@ def cmd_simulate(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    out = _prepare_out(config)
     state0 = np.array(
         [given[v][0] * np.exp(1j * given[v][1]) for v in system.modes], dtype=complex
     )
     t_char = characteristic_time(system, state0)
     t_end = config.t_end * t_char
     traj = integrate(system, state0, t_end, tol=config.tol, samples=config.samples)
+    # only a finished integration writes the output directory
+    out = _prepare_out(config)
     basis = conserved_quadratics(system)
     header = ["t"]
     for label in mode_labels(system):

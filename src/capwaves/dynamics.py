@@ -13,13 +13,19 @@ elimination as the null space of the transposed signed incidence matrix
 between modes and triads, whose rows are read straight off the system's one
 slot table (the slot indices and coupling of every triad).
 
-Integration is an explicit adaptive Runge-Kutta scheme with an embedded
-error estimate (scipy's DOP853) and dense output; conserved quantities are
-monitored along the trajectory, never projected, so their drift doubles as a
-global accuracy meter.  The dense output is a DenseSolution: every step's
-interpolation coefficients stacked once and evaluated with scipy's own
-arithmetic, so its values are bit-identical to scipy's OdeSolution, at a
-fraction of the cost per call; one slot can be evaluated alone.
+Integration is the explicit adaptive Runge-Kutta pair DOP853 with dense
+output, stepped by the library's own loop: it repeats scipy's DOP853
+arithmetic in scipy's order (initial step, stages, error norm, step-size
+controller, dense-output stages) on scipy's published tableau, so its steps,
+states and right-hand-side calls are bit-identical to ``solve_ivp``'s,
+without the solver machinery around each call.  Tolerances below 100 eps,
+where scipy would raise rtol alone to that floor, are rejected.  Conserved
+quantities are monitored along the trajectory, never projected, so their
+drift doubles as a global accuracy meter.  The dense output is a
+DenseSolution: every step's interpolation coefficients written once into
+stacks and evaluated with scipy's own arithmetic, so its values are
+bit-identical to scipy's OdeSolution, at a fraction of the cost per call;
+one slot can be evaluated alone.
 
 The right-hand side loops over the triads on Python complex numbers: cheaper
 per call than numpy scalars at every size, and than a numpy gather for small
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import minimize_scalar
 
 from .clustering import ClusterGraph, _role_groups
@@ -187,8 +193,8 @@ def mode_labels(system: ClusterSystem) -> list[str]:
 
 def _rhs(
     rows: tuple[tuple[int, int, int, float], ...], n_modes: int, state: np.ndarray
-) -> np.ndarray:
-    """The per-triad right-hand-side loop, on Python complex numbers."""
+) -> list[complex]:
+    """The per-triad right-hand-side loop, on Python complex numbers, as a list."""
     b = state.tolist()
     out = [0j] * n_modes
     for m1, m2, m3, z in rows:
@@ -196,7 +202,7 @@ def _rhs(
         out[m1] += z * b2.conjugate() * b3
         out[m2] += z * b1.conjugate() * b3
         out[m3] -= z * b1 * b2
-    return np.array(out)
+    return out
 
 
 def time_derivative(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
@@ -204,7 +210,7 @@ def time_derivative(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state)
     if state.shape != (system.n_modes,):
         raise ValueError(f"state must have shape ({system.n_modes},), got {state.shape}")
-    return _rhs(system.term_rows, system.n_modes, state)
+    return np.array(_rhs(system.term_rows, system.n_modes, state))
 
 
 def _triple_products(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
@@ -368,9 +374,10 @@ def characteristic_time(system: ClusterSystem, initial: np.ndarray) -> float:
 class DenseSolution:
     """The dense output of one DOP853 solve, every step stacked once.
 
-    Step s covers [ts[s], ts[s + 1]] with ``t_old`` (S,), ``h`` (S,),
-    ``y_old`` (S, M) and the seven interpolation coefficient rows ``coeffs``
-    (S, 7, M), stored in Horner order (scipy's ``F`` reversed).
+    Step s covers [ts[s], ts[s + 1]] with ``t_old`` (S,), the step starts
+    ``ts[:-1]``, ``h`` (S,), their differences, ``y_old`` (S, M) and the
+    seven interpolation coefficient rows ``coeffs`` (S, 7, M), stored in
+    Horner order (scipy's ``F`` reversed).
 
     Calling it evaluates scipy's ``Dop853DenseOutput`` arithmetic in the same
     order (``y += f``, then ``y *= x`` or ``y *= 1 - x`` in turn, then
@@ -386,23 +393,13 @@ class DenseSolution:
 
     __slots__ = ("ts", "t_old", "h", "y_old", "coeffs", "_ts", "_t_old", "_h", "_last")
 
-    def __init__(self, ts, t_old, h, y_old, coeffs) -> None:
-        self.ts, self.t_old, self.h, self.y_old, self.coeffs = ts, t_old, h, y_old, coeffs
+    def __init__(self, ts: np.ndarray, y_old: np.ndarray, coeffs: np.ndarray) -> None:
+        self.ts, self.y_old, self.coeffs = ts, y_old, coeffs
+        # t - t_old, as scipy computes each step's h
+        self.t_old, self.h = ts[:-1], np.diff(ts)
         # Python floats for the scalar path
-        self._ts, self._t_old, self._h = ts.tolist(), t_old.tolist(), h.tolist()
+        self._ts, self._t_old, self._h = ts.tolist(), self.t_old.tolist(), self.h.tolist()
         self._last = len(self._h) - 1
-
-    @classmethod
-    def from_ode_solution(cls, sol) -> DenseSolution:
-        """Restack the per-step ``Dop853DenseOutput`` pieces of a scipy ``OdeSolution``."""
-        steps = sol.interpolants
-        return cls(
-            np.asarray(sol.ts, dtype=float),
-            np.array([s.t_old for s in steps], dtype=float),
-            np.array([s.h for s in steps], dtype=float),
-            np.array([s.y_old for s in steps]),
-            np.array([s.F[::-1] for s in steps]),
-        )
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t)
@@ -455,18 +452,149 @@ def _horner(wx, wu, y_old, f0, f1, f2, f3, f4, f5, f6) -> complex:
     return ((((y + f3) * wu + f4) * wx + f5) * wu + f6) * wx + y_old
 
 
+# DOP853's tableau, as scipy publishes it on its solver class, each stage
+# row cut to scipy's a[:s].  It is cast to complex once: np.dot casts its
+# real operand to the complex state's type on every call, so each stage sum
+# is the same BLAS call on the same values.  The right-hand side is
+# autonomous, so the stage times (C, C_EXTRA) are never formed.
+_N_STAGES = DOP853.n_stages  # row _N_STAGES of the stage array holds f at the step's end
+_STAGES = [a[:s].astype(complex) for s, a in enumerate(DOP853.A[1:], start=1)]
+_EXTRA_STAGES = [
+    a[:s].astype(complex) for s, a in enumerate(DOP853.A_EXTRA, start=_N_STAGES + 1)
+]
+_B, _E3, _E5, _D = (c.astype(complex) for c in (DOP853.B, DOP853.E3, DOP853.E5, DOP853.D))
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+TOL_FLOOR = 100 * float(np.finfo(float).eps)  # scipy's floor on rtol
+
+
+def _squared_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) ** 2 of a complex vector, with the same roundings."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) ** 2
+
+
+def _initial_step(
+    rows, n_modes: int, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float, atol: float
+) -> float:
+    """scipy's ``select_initial_step`` for DOP853, forward from t = 0."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = np.linalg.norm(y0 / scale) / n_modes**0.5
+    d1 = np.linalg.norm(f0 / scale) / n_modes**0.5
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = np.array(_rhs(rows, n_modes, y0 + h0 * f0))
+    d2 = np.linalg.norm((f1 - f0) / scale) / n_modes**0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return float(min(100 * h0, h1, t_end))
+
+
+def _dop853(
+    system: ClusterSystem, y: np.ndarray, t_end: float, rtol: float, atol: float
+) -> DenseSolution:
+    """Step DOP853 from t = 0 to t_end exactly as scipy's solver does.
+
+    Every stage, the error norm and the step-size controller (safety 0.9,
+    factors in [0.2, 10], ``min_step`` ten spacings of t, no growth right
+    after a rejection, the last step clipped to t_end) are scipy's, in its
+    order; each accepted step then takes scipy's three extra stages and
+    writes its end time, start state and Horner-ordered coefficients
+    straight into the stacks of the returned :class:`DenseSolution`.  Raises
+    IntegrationError, with scipy's message, where scipy's step size would
+    fall below ``min_step``, and where it would be NaN.
+    """
+    rhs, rows, n = _rhs, system.term_rows, system.n_modes
+    # scipy's K_extended: the stages, f at the step's end, the extra stages;
+    # KT[s] is K[:s].T, the operand of stage s
+    K = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES), n), dtype=complex)
+    KT = [K[:s].T for s in range(len(K) + 1)]
+    K[0] = rhs(rows, n, y)
+    h_abs = _initial_step(rows, n, y, K[0], t_end, rtol, atol)
+    ts = [0.0]
+    y_olds = np.empty((64, n), dtype=complex)
+    coeffs = np.empty((64, 7, n), dtype=complex)
+    t = 0.0
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            # NaN fails here too: a right-hand side that is not finite at the
+            # start leaves no step size, where scipy would retry without end
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    f"integration failed at t={t}: "
+                    "Required step size is less than spacing between numbers.",
+                    t,
+                    y,
+                )
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            for s, a in enumerate(_STAGES, start=1):
+                K[s] = rhs(rows, n, y + KT[s].dot(a) * h)
+            y_new = y + h * KT[_N_STAGES].dot(_B)
+            K[_N_STAGES] = rhs(rows, n, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = _squared_norm(KT[_N_STAGES + 1].dot(_E5) / scale)
+            err3 = _squared_norm(KT[_N_STAGES + 1].dot(_E3) / scale)
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = 10
+                else:
+                    factor = min(10, 0.9 * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        for s, a in enumerate(_EXTRA_STAGES, start=_N_STAGES + 1):
+            K[s] = rhs(rows, n, y + KT[s].dot(a) * h)
+        i = len(ts) - 1
+        if i == len(y_olds):  # double the stacks; the rows past i are overwritten
+            y_olds = np.resize(y_olds, (2 * i, n))
+            coeffs = np.resize(coeffs, (2 * i, 7, n))
+        # scipy's interpolation rows F, written in Horner (reversed) order
+        f_old, f_new, step = K[0], K[_N_STAGES], coeffs[i]
+        delta_y = y_new - y
+        step[6] = delta_y
+        step[5] = h * f_old - delta_y
+        step[4] = 2 * delta_y - h * (f_new + f_old)
+        step[3::-1] = h * _D.dot(K)
+        y_olds[i] = y
+        ts.append(t_new)
+        t, y = t_new, y_new
+        K[0] = f_new
+    steps = len(ts) - 1
+    return DenseSolution(np.array(ts), y_olds[:steps], coeffs[:steps])
+
+
 def solve_dense(
     system: ClusterSystem, initial: np.ndarray, t_end: float, tol: float
 ) -> DenseSolution:
     """Integrate over [0, t_end] and return the dense interpolant of the state.
 
     The returned :class:`DenseSolution` maps a time (scalar or array) to the
-    complex state, bit-identical to scipy's ``OdeSolution`` of the same
-    solve, which is dropped once restacked; ``slot(m)`` evaluates one slot.
+    complex state; ``slot(m)`` evaluates one slot.  Its steps, stacks and
+    values are bit-identical to those of scipy's ``solve_ivp`` with
+    ``method="DOP853"``, ``rtol=tol`` and ``atol=tol * max(max|initial|, 1)``.
     :func:`integrate` and :func:`measure_period` are built on it and leave it
-    the one check that ``t_end`` and ``tol`` are positive and finite.  It is
-    the handle to use when comparing trajectories against closed-form
-    solutions at arbitrary times.
+    the checks of the arguments: ``t_end`` positive and finite, ``tol`` finite
+    and at least ``TOL_FLOOR`` (100 eps, below which scipy would raise
+    ``rtol`` and leave ``atol``), a finite initial state.  It is the handle to
+    use when comparing trajectories against closed-form solutions at
+    arbitrary times.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (system.n_modes,):
@@ -474,24 +602,12 @@ def solve_dense(
     for name, value in (("t_end", t_end), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if tol < TOL_FLOOR:
+        raise ValueError(f"tol must be at least 100 eps = {TOL_FLOOR!r}, got {tol}")
+    if not np.isfinite(initial).all():
+        raise ValueError("initial state must be finite")
     scale = max(float(np.max(np.abs(initial))), 1.0)
-    rows, n_modes = system.term_rows, system.n_modes
-    sol = solve_ivp(
-        lambda t, y: _rhs(rows, n_modes, y),
-        (0.0, t_end),
-        initial,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * scale,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integration failed at t={sol.t[-1]}: {sol.message}",
-            float(sol.t[-1]),
-            sol.y[:, -1],
-        )
-    return DenseSolution.from_ode_solution(sol.sol)
+    return _dop853(system, initial, float(t_end), tol, tol * scale)
 
 
 def integrate(

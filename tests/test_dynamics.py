@@ -28,7 +28,13 @@ from capwaves import (
     time_derivative,
     triad_elliptic_params,
 )
-from capwaves.dynamics import TriadTerm, drift_report, mode_labels, refine_minimum
+from capwaves.dynamics import (
+    IntegrationError,
+    TriadTerm,
+    drift_report,
+    mode_labels,
+    refine_minimum,
+)
 
 REFERENCE_TOPOLOGIES = ["triad_system", "pp_butterfly", "aa_butterfly", "three_star", "four_star"]
 
@@ -426,16 +432,20 @@ class TestIntegrate:
             pytest.param(entry, t_end, tol, 10, id=f"{entry.__name__}-t_end={t_end}-tol={tol}")
             for entry in (integrate, solve_dense, measure_period)
             for t_end, tol in [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
-                               (0.0, 1e-10), (-1.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10)]
+                               (0.0, 1e-10), (-1.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10),
+                               (1.0, 1e-16), (1.0, 1e-14)]
         ]
         + [pytest.param(integrate, 1.0, 1e-10, 0, id="integrate-samples=0")],
     )
     def test_invalid_arguments(self, triad_system, entry, t_end, tol, samples):
         # rejected before the solve starts: a NaN tol or an infinite span
-        # would otherwise keep the integrator stepping without end
+        # would otherwise keep the integrator stepping without end, and below
+        # 100 eps scipy would raise rtol to that floor and leave atol
         b0 = np.array([1.0, 0.5, 0.2], dtype=complex)
         kwargs = {"samples": samples} if entry is integrate else {}
-        with pytest.raises(ValueError, match="must be positive and finite|samples must be"):
+        with pytest.raises(
+            ValueError, match="must be positive and finite|samples must be|tol must be at least"
+        ):
             entry(triad_system, b0, t_end, tol, **kwargs)
 
 
@@ -507,19 +517,24 @@ def cluster_33():
     return build_system(cluster)
 
 
-def _scipy_dense(system, initial, t_end, tol):
-    """scipy's own dense output of the solve solve_dense makes: the reference."""
+def _scipy_solve(system, initial, t_end, tol, rhs=None):
+    """scipy's own DOP853 solve of the problem solve_dense solves: the reference."""
     initial = np.asarray(initial, dtype=complex)
     scale = max(float(np.max(np.abs(initial))), 1.0)
     return solve_ivp(
-        lambda t, y: time_derivative(system, y),
+        lambda t, y: (rhs or time_derivative)(system, y),
         (0.0, t_end),
         initial,
         method="DOP853",
         rtol=tol,
         atol=tol * scale,
         dense_output=True,
-    ).sol
+    )
+
+
+def _scipy_dense(system, initial, t_end, tol):
+    """scipy's own dense output of the solve solve_dense makes: the reference."""
+    return _scipy_solve(system, initial, t_end, tol).sol
 
 
 class _ScipyHandle:
@@ -543,18 +558,41 @@ def _assert_same_bits(value, reference):
     assert np.array_equal(bits, np.ascontiguousarray(reference).view(np.uint64))
 
 
+def _random_state(system, rng):
+    return rng.uniform(0.4, 1.2, system.n_modes) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, system.n_modes)
+    )
+
+
+def _assert_same_stacks(sol, ref):
+    """Every step of a DenseSolution equals scipy's, bit for bit."""
+    steps = ref.interpolants
+    assert np.array_equal(sol.ts, ref.ts)
+    assert np.array_equal(sol.t_old, [s.t_old for s in steps])
+    assert np.array_equal(sol.h, [s.h for s in steps])
+    _assert_same_bits(sol.y_old, np.array([s.y_old for s in steps]))
+    _assert_same_bits(sol.coeffs, np.array([s.F[::-1] for s in steps]))
+
+
+# the tolerances the library solves at; 1e-10 keeps the bare system name
+_SOLVED = [
+    pytest.param((name, tol), id=name if tol == 1e-10 else f"{name}-tol={tol}")
+    for name in ("triad_system", "four_star", "cluster_33")
+    for tol in (1e-10, 1e-11, 1e-12)
+]
+
+
 class TestDenseSolution:
-    @pytest.fixture(params=["triad_system", "four_star", "cluster_33"])
+    @pytest.fixture(params=_SOLVED)
     def solved(self, request):
-        system = request.getfixturevalue(request.param)
+        name, tol = request.param
+        system = request.getfixturevalue(name)
         rng = np.random.default_rng(61)
-        b0 = rng.uniform(0.4, 1.2, system.n_modes) * np.exp(
-            1j * rng.uniform(-np.pi, np.pi, system.n_modes)
-        )
+        b0 = _random_state(system, rng)
         t_end = 5.0 * characteristic_time(system, b0)
         return (
-            solve_dense(system, b0, t_end, 1e-10),
-            _scipy_dense(system, b0, t_end, 1e-10),
+            solve_dense(system, b0, t_end, tol),
+            _scipy_dense(system, b0, t_end, tol),
             t_end,
             rng,
         )
@@ -620,6 +658,81 @@ class TestDenseSolution:
             _assert_same_bits(s.state, r.state)
             assert np.array_equal(s.invariants, r.invariants)
             assert np.array_equal(s.phases, r.phases, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["triad_system", "four_star", "cluster_33"])
+    def test_stacks_and_rhs_calls_match_scipy(self, request, name, monkeypatch):
+        system = request.getfixturevalue(name)
+        b0 = _random_state(system, np.random.default_rng(67))
+        t_end = 8.0 * characteristic_time(system, b0)
+        rhs, calls = capwaves.dynamics._rhs, []
+
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(capwaves.dynamics, "_rhs", counted)
+        sol = solve_dense(system, b0, t_end, 1e-11)
+        monkeypatch.undo()
+        ref = _scipy_solve(system, b0, t_end, 1e-11)
+        _assert_same_stacks(sol, ref.sol)
+        assert len(calls) == ref.nfev
+
+    def test_tolerance_floor_accepted_and_matches_scipy(self, triad_system):
+        # 100 eps is scipy's floor on rtol: accepted there without a warning
+        b0 = _random_state(triad_system, np.random.default_rng(71))
+        t_end = 3.0 * characteristic_time(triad_system, b0)
+        tol = 100 * np.finfo(float).eps
+        _assert_same_stacks(
+            solve_dense(triad_system, b0, t_end, tol), _scipy_dense(triad_system, b0, t_end, tol)
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_initial_state_rejected(self, triad_system, bad, monkeypatch):
+        monkeypatch.setattr(capwaves.dynamics, "_rhs", None)  # no step is taken
+        b0 = np.array([1.0, bad, 0.5], complex)
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            solve_dense(triad_system, b0, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("finite_calls", [1, 40, 400])
+    def test_non_finite_rhs_fails_where_scipy_fails(self, four_star, finite_calls, monkeypatch):
+        # the right-hand side turns NaN after a number of finite calls; both
+        # solvers shrink the step below min_step and report the same state
+        rhs = capwaves.dynamics._rhs
+
+        def poisoned(calls):
+            def poisoned_rhs(rows, n_modes, state):
+                calls.append(1)
+                value = rhs(rows, n_modes, state)
+                return value if len(calls) <= finite_calls else [complex(math.nan)] * n_modes
+
+            return poisoned_rhs
+
+        b0 = _random_state(four_star, np.random.default_rng(73))
+        t_end = 10.0 * characteristic_time(four_star, b0)
+        scipy_rhs = poisoned([])
+        with np.errstate(invalid="ignore"):
+            ref = _scipy_solve(
+                four_star, b0, t_end, 1e-10,
+                rhs=lambda system, y: np.array(scipy_rhs(system.term_rows, system.n_modes, y)),
+            )
+        assert ref.status == -1 and (ref.t[-1] > 0.0) == (finite_calls > 1)
+        calls = []
+        monkeypatch.setattr(capwaves.dynamics, "_rhs", poisoned(calls))
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as failure:
+            solve_dense(four_star, b0, t_end, 1e-10)
+        assert str(failure.value) == f"integration failed at t={ref.t[-1]}: {ref.message}"
+        assert failure.value.t_last == ref.t[-1]
+        _assert_same_bits(failure.value.state_last, ref.y[:, -1])
+        assert len(calls) == ref.nfev
+
+    def test_non_finite_rhs_at_start_fails(self, triad_system):
+        # the couplings overflow at this amplitude, so no step size exists;
+        # scipy's DOP853 would retry a NaN step without end
+        b0 = np.array([1.0, 0.8, 0.6j]) * 1e160
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError) as failure:
+            solve_dense(triad_system, b0, 5.0 * characteristic_time(triad_system, b0), 1e-10)
+        assert failure.value.t_last == 0.0
+        _assert_same_bits(failure.value.state_last, b0)
 
 
 class TestPeriodMeasurement:
