@@ -22,10 +22,13 @@ without the solver machinery around each call.  Tolerances below 100 eps,
 where scipy would raise rtol alone to that floor, are rejected.  Conserved
 quantities are monitored along the trajectory, never projected, so their
 drift doubles as a global accuracy meter.  The dense output is a
-DenseSolution: every step's interpolation coefficients written once into
-stacks and evaluated with scipy's own arithmetic, so its values are
-bit-identical to scipy's OdeSolution, at a fraction of the cost per call;
-one slot can be evaluated alone.
+DenseSolution: each step keeps its end state and derivative and its unscaled
+D·K, and scipy's interpolation rows are formed from them once per solve, in
+place on the whole stacks.  They are evaluated with scipy's own arithmetic,
+so the values are bit-identical to scipy's OdeSolution, at a fraction of the
+cost per call; scalar times convert their step's rows to Python values once
+while they stay in that step, and one slot can be evaluated alone.  The
+exact invariant basis is eliminated once per system and kept on it.
 
 The right-hand side loops over the triads on Python complex numbers: cheaper
 per call than numpy scalars at every size, and than a numpy gather for small
@@ -91,7 +94,8 @@ class ClusterSystem:
 
     Slot count M = 3N - n with n the number of shared-mode identifications.
     Every other view of the table (``term_rows``, ``term_arrays``,
-    ``incidence``) is derived from ``terms`` when first asked for.
+    ``incidence``, ``quadratics``) is derived from ``terms`` when first asked
+    for.
     """
 
     modes: tuple[int, ...]  # wavenumber per slot; k1 = k2 triads carry two slots
@@ -122,6 +126,15 @@ class ClusterSystem:
         """Signed incidence (M, N): +1 where slot m is a passive mode of triad j,
         -1 where it is the active mode, 0 otherwise."""
         return np.array(_incidence_rows(self), dtype=int).T
+
+    @cached_property
+    def quadratics(self) -> np.ndarray:
+        """Read-only integer basis (K, M) of the conserved quadratics, eliminated
+        once per system; :func:`conserved_quadratics` returns it."""
+        basis = _integer_nullspace(_incidence_rows(self), self.n_modes)
+        out = np.array(basis, dtype=np.int64).reshape(len(basis), self.n_modes)
+        out.flags.writeable = False
+        return out
 
 
 def _incidence_rows(system: ClusterSystem) -> list[list[int]]:
@@ -284,9 +297,10 @@ def conserved_quadratics(system: ClusterSystem) -> np.ndarray:
     The dimension is M - rank(S); with a full-rank incidence (true for all
     published cluster topologies) this equals M - N, which is 2N - n, the
     Manley-Rowe count for N triads with n = 3N - M shared-mode identifications.
+    The basis is the system's read-only ``quadratics``, eliminated on the first
+    call; a rank-deficient incidence warns on every call.
     """
-    basis = _integer_nullspace(_incidence_rows(system), system.n_modes)
-    out = np.array(basis, dtype=np.int64).reshape(len(basis), system.n_modes)
+    basis = system.quadratics
     expected = system.n_modes - system.n_triads
     if len(basis) != expected:
         warnings.warn(
@@ -294,7 +308,7 @@ def conserved_quadratics(system: ClusterSystem) -> np.ndarray:
             "rank-deficient incidence",
             stacklevel=2,
         )
-    return out
+    return basis
 
 
 def dynamical_phases(system: ClusterSystem, state: np.ndarray) -> np.ndarray:
@@ -388,10 +402,16 @@ class DenseSolution:
     ``complex`` values of the scalar path.  A scalar time gives an (M,)
     state, a 1-D array of times an (M, T) block in scipy's memory layout;
     times outside [0, t_end] extrapolate from the end steps.  :meth:`slot`
-    evaluates one slot alone.
+    evaluates one slot alone.  A scalar call converts its step's ``y_old``
+    and coefficient rows (one slot's, for :meth:`slot`) to Python values,
+    and the scalar calls after it reuse them while they land in that step,
+    so a sorted scan or a converging minimum search converts each step
+    once; only the last step's rows are kept.  Arrays of times read the
+    stacks.  The stacks are not to be written once in use: the kept rows
+    would not see the change.
     """
 
-    __slots__ = ("ts", "t_old", "h", "y_old", "coeffs", "_ts", "_t_old", "_h", "_last")
+    __slots__ = ("ts", "t_old", "h", "y_old", "coeffs", "_ts", "_t_old", "_h", "_last", "_cached")
 
     def __init__(self, ts: np.ndarray, y_old: np.ndarray, coeffs: np.ndarray) -> None:
         self.ts, self.y_old, self.coeffs = ts, y_old, coeffs
@@ -400,26 +420,36 @@ class DenseSolution:
         # Python floats for the scalar path
         self._ts, self._t_old, self._h = ts.tolist(), self.t_old.tolist(), self.h.tolist()
         self._last = len(self._h) - 1
+        # the last scalar call's step, with its y_old and coefficient columns
+        # as Python values
+        self._cached: tuple[int, list, list] = (-1, [], [])
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t)
         if t.ndim == 0:
             seg, wx, wu = self._step(float(t))
-            return np.array([
-                _horner(wx, wu, y0, *col)
-                for y0, col in zip(self.y_old[seg].tolist(), self.coeffs[seg].T.tolist())
-            ])
+            # one tuple, replaced whole: a concurrent call never pairs a step
+            # with another step's rows
+            cached = self._cached
+            if cached[0] != seg:
+                cached = (seg, self.y_old[seg].tolist(), self.coeffs[seg].T.tolist())
+                self._cached = cached
+            return np.array([_horner(wx, wu, y0, *col) for y0, col in zip(cached[1], cached[2])])
         return self._block(t, self.y_old, self.coeffs)
 
     def slot(self, m: int):
         """Interpolant of slot m alone: a complex for a scalar time, (T,) for an array."""
         y_old, coeffs = self.y_old[:, m], self.coeffs[:, :, m]
+        cached = (-1, 0j, [])
 
         def at(t):
+            nonlocal cached
             t = np.asarray(t)
             if t.ndim == 0:
                 seg, wx, wu = self._step(float(t))
-                return np.complex128(_horner(wx, wu, y_old[seg].item(), *coeffs[seg].tolist()))
+                if cached[0] != seg:
+                    cached = (seg, y_old[seg].item(), coeffs[seg].tolist())
+                return np.complex128(_horner(wx, wu, cached[1], *cached[2]))
             return self._block(t, y_old, coeffs)
 
         return at
@@ -499,11 +529,13 @@ def _dop853(
     Every stage, the error norm and the step-size controller (safety 0.9,
     factors in [0.2, 10], ``min_step`` ten spacings of t, no growth right
     after a rejection, the last step clipped to t_end) are scipy's, in its
-    order; each accepted step then takes scipy's three extra stages and
-    writes its end time, start state and Horner-ordered coefficients
-    straight into the stacks of the returned :class:`DenseSolution`.  Raises
-    IntegrationError, with scipy's message, where scipy's step size would
-    fall below ``min_step``, and where it would be NaN.
+    order; each accepted step then takes scipy's three extra stages.  A step
+    keeps only what its interpolation rows are made of: its end state and
+    end derivative, and its unscaled ``D·K`` in the rows of the returned
+    :class:`DenseSolution`; :func:`_interpolation_rows` forms the rows of
+    every step from them once the solve ends.  Raises IntegrationError, with
+    scipy's message, where scipy's step size would fall below ``min_step``,
+    and where it would be NaN.
     """
     rhs, rows, n = _rhs, system.term_rows, system.n_modes
     # scipy's K_extended: the stages, f at the step's end, the extra stages;
@@ -511,10 +543,17 @@ def _dop853(
     K = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES), n), dtype=complex)
     KT = [K[:s].T for s in range(len(K) + 1)]
     K[0] = rhs(rows, n, y)
-    h_abs = _initial_step(rows, n, y, K[0], t_end, rtol, atol)
+    # a right-hand side that is not finite at the start leaves no step size
+    h_abs = math.nan
+    if np.isfinite(K[0]).all():
+        h_abs = _initial_step(rows, n, y, K[0], t_end, rtol, atol)
     ts = [0.0]
-    y_olds = np.empty((64, n), dtype=complex)
+    # the state and the derivative at ts[i] go to ys[i] and coeffs[i, 5], one
+    # row past the steps; the unscaled D·K of step i goes to coeffs[i, 3::-1]
+    ys = np.empty((64, n), dtype=complex)
     coeffs = np.empty((64, 7, n), dtype=complex)
+    ys[0], coeffs[0, 5] = y, K[0]
+    abs_y = np.abs(y)
     t = 0.0
     while t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -536,11 +575,14 @@ def _dop853(
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
+            # the real step as the complex scalar numpy casts it to
+            hc = complex(h)
             for s, a in enumerate(_STAGES, start=1):
-                K[s] = rhs(rows, n, y + KT[s].dot(a) * h)
-            y_new = y + h * KT[_N_STAGES].dot(_B)
+                K[s] = rhs(rows, n, y + KT[s].dot(a) * hc)
+            y_new = y + hc * KT[_N_STAGES].dot(_B)
             K[_N_STAGES] = rhs(rows, n, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
             err5 = _squared_norm(KT[_N_STAGES + 1].dot(_E5) / scale)
             err3 = _squared_norm(KT[_N_STAGES + 1].dot(_E3) / scale)
             if err5 == 0 and err3 == 0:
@@ -560,24 +602,46 @@ def _dop853(
             rejected = True
 
         for s, a in enumerate(_EXTRA_STAGES, start=_N_STAGES + 1):
-            K[s] = rhs(rows, n, y + KT[s].dot(a) * h)
-        i = len(ts) - 1
-        if i == len(y_olds):  # double the stacks; the rows past i are overwritten
-            y_olds = np.resize(y_olds, (2 * i, n))
+            K[s] = rhs(rows, n, y + KT[s].dot(a) * hc)
+        i = len(ts)
+        if i == len(ys):  # double the stacks; the rows past i are overwritten
+            ys = np.resize(ys, (2 * i, n))
             coeffs = np.resize(coeffs, (2 * i, 7, n))
-        # scipy's interpolation rows F, written in Horner (reversed) order
-        f_old, f_new, step = K[0], K[_N_STAGES], coeffs[i]
-        delta_y = y_new - y
-        step[6] = delta_y
-        step[5] = h * f_old - delta_y
-        step[4] = 2 * delta_y - h * (f_new + f_old)
-        step[3::-1] = h * _D.dot(K)
-        y_olds[i] = y
+        coeffs[i - 1, 3::-1] = _D.dot(K)
+        ys[i], coeffs[i, 5] = y_new, K[_N_STAGES]
         ts.append(t_new)
-        t, y = t_new, y_new
-        K[0] = f_new
+        t, y, abs_y = t_new, y_new, abs_y_new
+        K[0] = K[_N_STAGES]
     steps = len(ts) - 1
-    return DenseSolution(np.array(ts), y_olds[:steps], coeffs[:steps])
+    sol = DenseSolution(np.array(ts), ys[:steps], coeffs[:steps])
+    _interpolation_rows(sol.h, ys[: steps + 1], coeffs[: steps + 1])
+    return sol
+
+
+def _interpolation_rows(h: np.ndarray, ys: np.ndarray, coeffs: np.ndarray) -> None:
+    """Form scipy's DOP853 interpolation rows F of every step in place, in Horner order.
+
+    On entry ``ys`` (S + 1, M) holds the state and ``coeffs[:, 5]`` the
+    derivative at every step boundary, and ``coeffs[s, 3::-1]`` the unscaled
+    ``D·K`` of step s.  Each row is scipy's expression, with its operands and
+    operations in scipy's order, on whole stacks and with no stack-sized
+    temporary: ``delta_y``, ``h f_old - delta_y``,
+    ``2 delta_y - h (f_new + f_old)`` and ``h D·K``.  The row past the last
+    step is left as it was.
+    """
+    hs = h[:, None]
+    f = coeffs[:, 5]
+    delta_y, f1, f2 = coeffs[:-1, 6], coeffs[:-1, 5], coeffs[:-1, 4]
+    np.add(f[1:], f[:-1], out=f2)  # f_new + f_old
+    np.multiply(hs, f2, out=f2)
+    np.multiply(hs, f1, out=f1)  # h f_old
+    np.subtract(ys[1:], ys[:-1], out=delta_y)
+    f1 -= delta_y
+    # 2 delta_y - h (f_new + f_old), then delta_y again in its own row
+    np.multiply(2, delta_y, out=delta_y)
+    np.subtract(delta_y, f2, out=f2)
+    np.subtract(ys[1:], ys[:-1], out=delta_y)
+    np.multiply(hs[:, None], coeffs[:-1, :4], out=coeffs[:-1, :4])
 
 
 def solve_dense(

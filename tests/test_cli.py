@@ -7,6 +7,7 @@ import pytest
 
 import capwaves.acceptance
 import capwaves.cli
+import capwaves.dynamics
 from capwaves import FluidParams, build_clusters, enumerate_triads, min_resonant_vorticity
 from capwaves.acceptance import CheckResult
 from capwaves.cli import RunConfig, main, parse_config, serialize_config
@@ -346,6 +347,29 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_overflowing_amplitudes_give_one_error_line(self, tmp_path, capsys):
+        # the right-hand side overflows at the initial state: no step size
+        # exists, and the run fails without a numpy warning
+        config = self._config(tmp_path, ["1 1e160 0.0", "2 1e160 0.0", "3 1e160 0.0"])
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: integration failed at t=0.0")
+        assert not (tmp_path / "run").exists()
+
+    def test_basis_eliminated_once_per_run(self, tmp_path, capsys, monkeypatch):
+        nullspace, calls = capwaves.dynamics._integer_nullspace, []
+
+        def counted(*args):
+            calls.append(1)
+            return nullspace(*args)
+
+        monkeypatch.setattr(capwaves.dynamics, "_integer_nullspace", counted)
+        config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.3", "3 0.5 -0.2"])
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert len(calls) == 1
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.3", "3 0.5 -0.2"])

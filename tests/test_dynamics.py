@@ -366,6 +366,35 @@ class TestConservedQuadratics:
         assert "incidence" not in vars(system)
         np.testing.assert_array_equal(system.incidence, [[1], [1], [-1]])
 
+    def test_eliminated_once_per_system(self, triads_by_wn, monkeypatch):
+        nullspace, calls = capwaves.dynamics._integer_nullspace, []
+
+        def counted(*args):
+            calls.append(1)
+            return nullspace(*args)
+
+        monkeypatch.setattr(capwaves.dynamics, "_integer_nullspace", counted)
+        [cluster] = build_clusters([triads_by_wn[(5, 7, 12)]], 1e-3)
+        system = build_system(cluster)
+        basis = conserved_quadratics(system)
+        b0 = np.array([1.0, 0.8, 0.6], dtype=complex)
+        integrate(system, b0, 5.0 * characteristic_time(system, b0), samples=20)
+        assert conserved_quadratics(system) is basis
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 7
+        conserved_quadratics(build_system(cluster))  # a new system eliminates its own
+        assert len(calls) == 2
+
+    def test_rank_deficiency_warns_on_every_call(self):
+        # two triads on the same three slots: rank 1, so M - rank = 2 > M - N = 1
+        system = ClusterSystem(
+            modes=(5, 7, 12), terms=(TriadTerm(0, 1, 2, 1.0), TriadTerm(0, 1, 2, 2.0)), triads=()
+        )
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="rank-deficient incidence"):
+                assert conserved_quadratics(system).shape == (2, 3)
+
     def test_annihilates_incidence(self, three_star):
         basis = conserved_quadratics(three_star)
         assert not (three_star.incidence.T @ basis.T).any()
@@ -677,6 +706,63 @@ class TestDenseSolution:
         _assert_same_stacks(sol, ref.sol)
         assert len(calls) == ref.nfev
 
+    def test_rejected_steps_and_stack_growth_match_scipy(self, triad_system, monkeypatch):
+        # 221 steps, so the stacks double twice past their 64 rows, and steps
+        # are rejected: each accepted step costs 15 calls, a rejected one 12
+        b0 = _random_state(triad_system, np.random.default_rng(67))
+        t_end = 40.0 * characteristic_time(triad_system, b0)
+        rhs, calls = capwaves.dynamics._rhs, []
+
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(capwaves.dynamics, "_rhs", counted)
+        sol = solve_dense(triad_system, b0, t_end, 1e-10)
+        monkeypatch.undo()
+        ref = _scipy_solve(triad_system, b0, t_end, 1e-10)
+        _assert_same_stacks(sol, ref.sol)
+        assert len(calls) == ref.nfev
+        steps = len(sol.h)
+        rejected, rest = divmod(len(calls) - 2 - 15 * steps, 12)
+        assert steps > 128 and rejected > 0 and rest == 0
+
+    @pytest.mark.parametrize("name", ["triad_system", "cluster_33"])
+    def test_cached_scalar_rows_match_block_and_scipy(self, request, name):
+        # scalar calls keep the rows of the step they last landed in; the
+        # values must not depend on whether a step was converted before or
+        # after a block call, on whether a one-slot or a full-state call came
+        # first, nor on the step the call before landed in
+        system = request.getfixturevalue(name)
+        b0 = _random_state(system, np.random.default_rng(79))
+        t_end = 6.0 * characteristic_time(system, b0)
+        sol, ref = solve_dense(system, b0, t_end, 1e-11), _scipy_dense(system, b0, t_end, 1e-11)
+        mids = (sol.ts[:-1] + sol.ts[1:]) / 2
+        times = np.concatenate([sol.ts, mids])
+        expected = ref(times)
+        slot_fns = [sol.slot(m) for m in range(system.n_modes)]  # each keeps its own rows
+
+        def check(indices, slot_first):
+            for i in indices:
+                t = times[i]
+                slots = [f(t) for f in slot_fns] if slot_first else None
+                state = sol(t)
+                if not slot_first:
+                    slots = [f(t) for f in slot_fns]
+                _assert_same_bits(state, expected[:, i])
+                _assert_same_bits(state, ref(t))
+                for m, value in enumerate(slots):
+                    _assert_same_bits(value, expected[m, i])
+
+        # the midpoints of every other step, a block call, then every time in
+        # order and shuffled, so calls both stay in a step and jump between steps
+        check(range(len(sol.ts), len(times), 2), slot_first=False)
+        _assert_same_bits(sol(times), expected)
+        check(range(len(times)), slot_first=True)
+        check(np.random.default_rng(83).permutation(len(times)), slot_first=False)
+        for m, f in enumerate(slot_fns):
+            _assert_same_bits(f(times), expected[m])
+
     def test_tolerance_floor_accepted_and_matches_scipy(self, triad_system):
         # 100 eps is scipy's floor on rtol: accepted there without a warning
         b0 = _random_state(triad_system, np.random.default_rng(71))
@@ -729,7 +815,7 @@ class TestDenseSolution:
         # the couplings overflow at this amplitude, so no step size exists;
         # scipy's DOP853 would retry a NaN step without end
         b0 = np.array([1.0, 0.8, 0.6j]) * 1e160
-        with np.errstate(all="ignore"), pytest.raises(IntegrationError) as failure:
+        with pytest.raises(IntegrationError) as failure:
             solve_dense(triad_system, b0, 5.0 * characteristic_time(triad_system, b0), 1e-10)
         assert failure.value.t_last == 0.0
         _assert_same_bits(failure.value.state_last, b0)
