@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -156,21 +157,22 @@ _JSON_ROW = """    {
 def cmd_search(config: RunConfig) -> int:
     k1, k2, k3, omega, z = triad_columns(config.kmax, FluidParams(config.sigma))
     out = _prepare_out(config)
-    rows = list(
-        zip(k1.tolist(), k2.tolist(), k3.tolist(),
-            map(repr, omega.tolist()), map(repr, z.tolist()))
-    )
+    # each float's repr is made once for both files, and one % formats each
+    rows = zip(k1.tolist(), k2.tolist(), k3.tolist(),
+               map(repr, omega.tolist()), map(repr, z.tolist()))
+    cells = tuple(chain.from_iterable(rows))
+    n = len(k1)
     header = (
         f"# capwaves triad table: sigma = {config.sigma}, kmax = {config.kmax}\n"
         "# k1 k2 k3 omega_gen z\n"
     )
-    (out / "triads.txt").write_text(header + "".join("%d %d %d %s %s\n" % r for r in rows))
-    entries = ",\n".join(_JSON_ROW % row for row in rows)
+    (out / "triads.txt").write_text(header + "%d %d %d %s %s\n" * n % cells)
+    entries = ",\n".join([_JSON_ROW] * n) % cells
     (out / "triads.json").write_text(
         f'{{\n  "kmax": {json.dumps(config.kmax)},\n  "sigma": {json.dumps(config.sigma)},\n'
         f'  "triads": [\n{entries}\n  ]\n}}\n'
     )
-    print(f"{len(rows)} triads written to {out}/triads.txt and triads.json")
+    print(f"{n} triads written to {out}/triads.txt and triads.json")
     return 0
 
 
@@ -193,7 +195,11 @@ def cmd_cluster(config: RunConfig) -> int:
 
 
 def _cluster_summary(i: int, cluster, epsilon: float) -> str:
-    """The stdout line of multi-triad cluster i; raises what ``conservation_count`` raises."""
+    """The stdout line of multi-triad cluster i.
+
+    ``n=`` is the diagram's edge count and ``laws=`` the exact number of
+    conserved quadratics, M - rank(S) (see ``conservation_count``).
+    """
     kinds = cluster.kind_counts
     hist = ",".join(f"{k}:{v}" for k, v in sorted(kinds.items()))
     laws = conservation_count(cluster)

@@ -12,7 +12,8 @@ rule reads b - a < epsilon * b, and it can only fail more easily as a falls
 (also in floating point, since rounding is monotone): a pair that straddles
 a failed neighbour gap is never linked.  Every pair inside a span of passed
 neighbour gaps is chained through them, so the components equal those of the
-all-pairs rule at O(n log n) cost.
+all-pairs rule at O(n log n) cost.  When no neighbour pair links, every
+triad is its own component and no graph is searched.
 
 A cluster is its triads: which triads carry a wavenumber value, and in
 which role, fixes every diagram edge.  A mode is active (A) in a triad when
@@ -23,24 +24,29 @@ every pair of A-sharers (the joint active mode, a mutual AA clique), one AP
 edge from each P-sharer to the canonical A-sharer, and a PP clique when no
 triad carries the value as its active mode.  This reproduces the published
 connection counts (e.g. three AA plus one AP for the four-triad star).  The
-edge counts follow from the group sizes alone, so the edges themselves are
-made only when ``connections`` is read.
+edge counts follow from the group sizes alone; the writers read the edges as
+columns of triad positions, and ``Connection`` records are made only when
+``connections`` is read.
 
-Note that the number of *independent conserved quadratics* of a cluster is
-governed not by the edge count but by the number of shared-mode
-identifications (see :func:`conservation_count`); the two agree for chains
-and simple pairs and differ when three or more triads share one mode.
+The number of independent conserved quadratics of a cluster is M - rank(S),
+with S the signed incidence between its triads and its M mode slots (see
+:func:`conservation_count`).  It equals the paper's 2N - n, with n the
+number of shared-mode identifications, when S has full rank and no doubled
+mode is shared; the diagram's edge count is a third number, which differs
+from n when three or more triads share one mode.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .dispersion import FluidParams
@@ -59,10 +65,10 @@ __all__ = [
 
 # coupling ratios at which single-shared-mode clusters are known integrable
 INTEGRABLE_RATIOS = (1.0, 2.0, 0.5)
+_TARGETS = np.array(INTEGRABLE_RATIOS)[:, None]
 
 
-@dataclass(frozen=True, slots=True)
-class Connection:
+class Connection(NamedTuple):
     """A shared-mode edge between two triads, typed by the mode's role in each."""
 
     triad_a: Triad
@@ -71,34 +77,43 @@ class Connection:
     kind: str  # "AA", "AP" or "PP"
 
 
-def _role_groups(triads) -> list[tuple[int, list[Triad], list[Triad]]]:
+def _role_groups(triads) -> list[tuple[int, list[int], list[int]]]:
     """(value, actives, passives) for every wavenumber value that two or more
-    of the triads carry, by value.  Actives carry it as sum mode k3, passives
-    as k1 or k2 (once when k1 = k2); both lists keep the order of triads."""
-    groups: dict[int, tuple[list[Triad], list[Triad]]] = defaultdict(lambda: ([], []))
-    for t in triads:
-        groups[t.k3][0].append(t)
-        groups[t.k1][1].append(t)
-        if t.k2 != t.k1:
-            groups[t.k2][1].append(t)
+    of the triads carry, by value.  Actives are the positions of the triads
+    that carry it as sum mode k3, passives of those that carry it as k1 or k2
+    (once when k1 = k2); both lists ascend."""
+    groups: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    for i, (k1, k2, k3, _, _) in enumerate(triads):
+        groups[k3][0].append(i)
+        groups[k1][1].append(i)
+        if k2 != k1:
+            groups[k2][1].append(i)
     return [(v, a, p) for v, (a, p) in sorted(groups.items()) if len(a) + len(p) > 1]
 
 
-def _edges(triads):
-    """(triad_a, triad_b, value, kind) of every diagram edge, in connection
-    order: per shared value an AA clique, one AP edge per P-sharer to the
-    first A-sharer, or a PP clique when the value is nowhere active."""
+def _edge_columns(triads) -> tuple[list[int], list[int], list[int], list[str]]:
+    """Columns (a, b, value, kind) of every diagram edge in connection order,
+    with a and b positions in triads: per shared value an AA clique, one AP
+    edge per P-sharer to the first A-sharer, or a PP clique when the value is
+    nowhere active."""
+    a: list[int] = []
+    b: list[int] = []
+    values: list[int] = []
+    kinds: list[str] = []
     for value, actives, passives in _role_groups(triads):
-        for i, a in enumerate(actives):
-            for b in actives[i + 1:]:
-                yield a, b, value, "AA"
+        clique = actives or passives
+        for i, head in enumerate(clique[:-1], start=1):
+            a += [head] * (len(clique) - i)
+            b += clique[i:]
+        n_edges = len(clique) * (len(clique) - 1) // 2
+        kinds += ["AA" if actives else "PP"] * n_edges
         if actives:
-            for p in passives:
-                yield actives[0], p, value, "AP"
-        else:
-            for i, a in enumerate(passives):
-                for b in passives[i + 1:]:
-                    yield a, b, value, "PP"
+            a += [actives[0]] * len(passives)
+            b += passives
+            kinds += ["AP"] * len(passives)
+            n_edges += len(passives)
+        values += [value] * n_edges
+    return a, b, values, kinds
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,8 +145,11 @@ class ClusterGraph:
         if len(self.triads) == 1:
             return ()
         if self._connections is None:
+            a, b, values, kinds = _edge_columns(self.triads)
+            at = self.triads.__getitem__
+            rows = zip(map(at, a), map(at, b), values, kinds)
             object.__setattr__(
-                self, "_connections", tuple(starmap(Connection, _edges(self.triads)))
+                self, "_connections", tuple(map(tuple.__new__, repeat(Connection), rows))
             )
         return self._connections
 
@@ -154,19 +172,16 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     """Partition triads into clusters at vorticity accuracy epsilon.
 
     Returns every connected component, isolated triads included, sorted by
-    descending size then ascending vorticity; each component lists its
-    triads in Triad order.  The pairwise link rule makes the partition
-    refine monotonically in epsilon and keeps it independent of sigma, since
-    relative vorticity gaps do not depend on the fluid.
+    descending size, then ascending vorticity, then first triad; each
+    component lists its triads in Triad order.  The pairwise link rule makes
+    the partition refine monotonically in epsilon and keeps it independent
+    of sigma, since relative vorticity gaps do not depend on the fluid.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     triads = list(triads)
     n = len(triads)
-    k1, k2, k3, omega, z = (
-        np.fromiter(map(attrgetter(name), triads), dtype=float, count=n)
-        for name in ("k1", "k2", "k3", "omega_gen", "z")
-    )
+    k1, k2, k3, omega, z = np.fromiter(chain.from_iterable(triads), float, 5 * n).reshape(n, 5).T
     # one (value, owner) carrier per distinct wavenumber of each triad
     owner = np.arange(n)
     doubled = k2 == k1
@@ -176,11 +191,15 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     values, owners = values[order], owners[order]
     a, b = omega[owners[:-1]], omega[owners[1:]]
     linked = (values[1:] == values[:-1]) & (np.abs(b - a) < epsilon * np.maximum(a, b))
-    links = coo_array(
-        (np.ones(np.count_nonzero(linked)), (owners[:-1][linked], owners[1:][linked])),
-        shape=(n, n),
-    )
-    label = connected_components(links, directed=False)[1]
+    if linked.any():
+        rows, cols = owners[:-1][linked], owners[1:][linked]
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        links = csr_array((np.ones(rows.size), cols[by_row], indptr), shape=(n, n))
+        label = connected_components(links, directed=False)[1]
+    else:
+        label = owner
     # members of each component in Triad order, components one after another
     members = np.lexsort((z, omega, k3, k2, k1, label))
     starts = np.flatnonzero(np.diff(label[members], prepend=-1))
@@ -188,15 +207,18 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     # the same blocks sorted by vorticity: their first and last members give
     # each range, read off the triads so that no float is made per cluster
     by_omega = np.lexsort((omega, label))
-    omega_min = [triads[i].omega_gen for i in by_omega[starts].tolist()]
-    omega_max = [triads[i].omega_gen for i in by_omega[ends - 1].tolist()]
+    lowest, highest = by_omega[starts], by_omega[ends - 1]
+    first = members[starts]
+    ranked = np.lexsort((z[first], omega[first], k3[first], k2[first], k1[first],
+                         omega[lowest], starts - ends))
     ordered = [triads[i] for i in members.tolist()]
-    bounds = zip(starts.tolist(), ends.tolist())
-    clusters = [
-        ClusterGraph(tuple(ordered[lo:hi]), lo_om, hi_om, (hi_om - lo_om) / hi_om)
-        for (lo, hi), lo_om, hi_om in zip(bounds, omega_min, omega_max)
-    ]
-    clusters.sort(key=lambda c: (-c.size, c.omega_min, c.triads))
+    clusters = []
+    for lo, hi, i_min, i_max in zip(starts[ranked].tolist(), ends[ranked].tolist(),
+                                    lowest[ranked].tolist(), highest[ranked].tolist()):
+        lo_om, hi_om = triads[i_min][3], triads[i_max][3]
+        clusters.append(
+            ClusterGraph(tuple(ordered[lo:hi]), lo_om, hi_om, (hi_om - lo_om) / hi_om)
+        )
     return clusters
 
 
@@ -207,24 +229,109 @@ def identification_count(cluster: ClusterGraph) -> int:
 
 
 def conservation_count(cluster: ClusterGraph) -> int:
-    """Number of independent conserved quadratics of the cluster dynamics: 2N - n.
+    """Number of independent conserved quadratics sum_m c_m |B_m|² of the
+    cluster dynamics: M - rank(S), in exact integer arithmetic.
 
-    N is the triad count and n the number of shared-mode identifications;
-    each isolated triad carries two such laws and every identification
-    removes one.  n equals the connection count for isolated triads, pairs
-    and chains; when several triads share one mode the diagram clique holds
-    more edges than identifications, and it is the identification count that
-    matches the dimension of the conserved-quadratic space (see
-    :func:`capwaves.dynamics.conserved_quadratics`).
+    S is the signed incidence between the triads and the cluster's M mode
+    slots, one slot per wavenumber value.  A value doubled in a k1 = k2
+    triad takes two slots when no other triad carries it, as in
+    :func:`capwaves.dynamics.build_system`, and one slot, counted twice in
+    the triad's row, when another triad shares it.  Each row reads
+    c_k1 + c_k2 = c_k3 (or 2 c_k = c_2k on one slot).
+
+    The count propagates integer linear forms: the most carried slot whose
+    coefficient is still open becomes a free parameter, and a row with one
+    open slot of coefficient +-1 fixes that slot's form by additions alone.
+    Rows that fix no slot are constraints on the d parameters, evaluated
+    once every slot has its form; the count is d - rank(constraints).
+    Momentum, c = k, is always conserved, so that rank stops at d - 1.
+
+    For an isolated triad, pairs and chains, and whenever S has full rank
+    and no doubled mode is shared, this is the paper's 2N - n with n the
+    shared-mode identifications (:func:`identification_count`); three or
+    more triads on one mode still remove one law per identification, not
+    per diagram edge.
     """
-    n = identification_count(cluster)
-    count = 2 * cluster.size - n
-    if count < 1:
-        raise ValueError(
-            f"over-connected cluster: 2N - n = {count} < 1 "
-            f"(N={cluster.size}, identifications={n})"
-        )
-    return count
+    slot_of: dict[int, int] = {}
+    rows: list[list[tuple[int, int]]] = []  # (slot, coefficient) per triad
+    for k1, k2, k3, _, _ in cluster.triads:
+        s1 = slot_of.setdefault(k1, len(slot_of))
+        row = [(s1, 2)] if k2 == k1 else [(s1, 1), (slot_of.setdefault(k2, len(slot_of)), 1)]
+        row.append((slot_of.setdefault(k3, len(slot_of)), -1))
+        rows.append(row)
+    carriers: list[list[int]] = [[] for _ in slot_of]
+    for r, row in enumerate(rows):
+        for slot, _ in row:
+            carriers[slot].append(r)
+    for r, row in enumerate(rows):
+        if row[0][1] == 2 and len(carriers[row[0][0]]) == 1:
+            # a doubled value that no other triad carries keeps two slots
+            rows[r] = [(row[0][0], 1), (len(carriers), 1), row[1]]
+            carriers.append([r])
+    n_slots = len(carriers)
+    open_in_row = [len(row) for row in rows]
+    forms: list[dict[int, int] | None] = [None] * n_slots
+    fixed_by = [False] * len(rows)
+    constraints: list[int] = []
+    ready: list[int] = []
+
+    def settle(slot: int, form: dict[int, int]) -> None:
+        forms[slot] = form
+        for r in carriers[slot]:
+            open_in_row[r] -= 1
+            if open_in_row[r] == 1:
+                ready.append(r)
+            elif open_in_row[r] == 0 and not fixed_by[r]:
+                constraints.append(r)
+
+    seeds = iter(sorted(range(n_slots), key=lambda m: -len(carriers[m])))
+    d = 0
+    while True:
+        while ready:
+            r = ready.pop()
+            if open_in_row[r] != 1:
+                continue
+            [(slot, coef)] = [(m, c) for m, c in rows[r] if forms[m] is None]
+            if coef not in (1, -1):
+                continue  # 2 c_k = c_2k gives c_2k from c_k, never c_k from c_2k
+            form: dict[int, int] = {}
+            for m, c in rows[r]:
+                if m != slot:
+                    for p, x in forms[m].items():
+                        form[p] = form.get(p, 0) - coef * c * x
+            fixed_by[r] = True
+            settle(slot, {p: x for p, x in form.items() if x})
+        seed = next((m for m in seeds if forms[m] is None), None)
+        if seed is None:
+            break
+        settle(seed, {d: 1})
+        d += 1
+    residuals = []
+    for r in constraints:
+        vec = [0] * d
+        for m, c in rows[r]:
+            for p, x in forms[m].items():
+                vec[p] += c * x
+        residuals.append(vec)
+    return d - _rank(residuals, cap=d - 1)
+
+
+def _rank(rows: list[list[int]], cap: int) -> int:
+    """Rank of integer rows by fraction-free elimination, stopping at cap."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row), echelon order
+    for row in rows:
+        if len(basis) >= cap:
+            break
+        for col, prow in basis:
+            f = row[col]
+            if f:
+                p = prow[col]
+                row = [p * x - f * y for x, y in zip(row, prow)]
+        pivot = next((col for col, x in enumerate(row) if x), None)
+        if pivot is not None:
+            g = math.gcd(*row)
+            basis.append((pivot, [x // g for x in row]))
+    return len(basis)
 
 
 def coupling_ratio_hints(
@@ -235,60 +342,69 @@ def coupling_ratio_hints(
     For clusters glued through one common mode, a coupling ratio of 1, 2 or
     1/2 is known to make the dynamics integrable for arbitrary initial
     conditions; this flags connected pairs whose |Z_a / Z_b| falls within
-    rel_tol of one of those values.  Reporting only; no classification is
-    attempted.  The edges are walked from the role groups, so a cluster's
-    ``connections`` are not built for this.
+    rel_tol of one of those values, the first such value in
+    ``INTEGRABLE_RATIOS`` order.  Reporting only; no classification is
+    attempted.  The ratios are taken over the edge columns at once, so a
+    cluster's ``connections`` are not built for this.
     """
-    hints = []
-    for edge in _edges(cluster.triads):
-        ratio = abs(edge[0].z / edge[1].z)
-        for target in INTEGRABLE_RATIOS:
-            if abs(ratio - target) <= rel_tol * target:
-                hints.append((Connection(*edge), target))
-                break
-    return hints
-
-
-def _node_name(t: Triad) -> str:
-    return f"{t.k1}+{t.k2}={t.k3}"
+    triads = cluster.triads
+    a, b, values, kinds = _edge_columns(triads)
+    if not a:
+        return []
+    z = np.fromiter(map(itemgetter(4), triads), float, len(triads))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(z[a] / z[b])
+    near = np.abs(ratio - _TARGETS) <= rel_tol * _TARGETS  # (targets, edges)
+    edges = np.flatnonzero(near.any(axis=0))
+    return [
+        (Connection(triads[a[e]], triads[b[e]], values[e], kinds[e]), INTEGRABLE_RATIOS[i])
+        for e, i in zip(edges.tolist(), near[:, edges].argmax(axis=0).tolist())
+    ]
 
 
 def export_nr_diagram(cluster: ClusterGraph) -> str:
     """Deterministic DOT text: one node per triad, one labelled edge per connection."""
-    lines = ["graph cluster {"]
-    for t in cluster.triads:
-        lines.append(f'  "{_node_name(t)}" [shape=triangle];')
-    for c in cluster.connections:
-        lines.append(
-            f'  "{_node_name(c.triad_a)}" -- "{_node_name(c.triad_b)}"'
-            f' [label="{c.kind} k={c.shared_k}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = ['"%s+%s=%s"' % t[:3] for t in cluster.triads]
+    a, b, values, kinds = _edge_columns(cluster.triads)
+    at = names.__getitem__
+    edges = chain.from_iterable(zip(map(at, a), map(at, b), kinds, values))
+    return (
+        "graph cluster {\n"
+        + "  %s [shape=triangle];\n" * len(names) % tuple(names)
+        + '  %s -- %s [label="%s k=%s"];\n' * len(a) % tuple(edges)
+        + "}\n"
+    )
 
 
 def clusters_to_json(
     clusters: list[ClusterGraph], epsilon: float, params: FluidParams, kmax: int
 ) -> dict:
-    """JSON-ready description of a clustering run (deterministic ordering)."""
-    out = {"epsilon": epsilon, "sigma": params.sigma, "kmax": kmax, "clusters": []}
+    """JSON-ready description of a clustering run (deterministic ordering).
+
+    Each cluster lists its triads' wavenumbers and vorticities, its spread,
+    and its connections as (a, b, shared_k, kind) with a and b positions in
+    its triads.  The vorticities and connections are tuples, which the
+    cyclic garbage collector stops tracking once their items are plain
+    numbers and strings; the wavenumber rows stay lists.  ``json.dumps``
+    writes both as arrays.
+    """
+    entries = []
     for cl in clusters:
-        conns = cl.connections
-        index = {t: i for i, t in enumerate(cl.triads)} if conns else {}
-        out["clusters"].append(
+        triads = cl.triads
+        if len(triads) == 1:
+            (t,) = triads
+            entries.append({"triads": [[t[0], t[1], t[2]]], "vorticities": (t[3],),
+                            "spread": cl.spread, "connections": ()})
+            continue
+        entries.append(
             {
-                "triads": [[t.k1, t.k2, t.k3] for t in cl.triads],
-                "vorticities": [t.omega_gen for t in cl.triads],
+                "triads": [[t[0], t[1], t[2]] for t in triads],
+                "vorticities": tuple(map(itemgetter(3), triads)),
                 "spread": cl.spread,
-                "connections": [
-                    {
-                        "a": index[c.triad_a],
-                        "b": index[c.triad_b],
-                        "shared_k": c.shared_k,
-                        "kind": c.kind,
-                    }
-                    for c in conns
-                ],
+                "connections": tuple([
+                    {"a": i, "b": j, "shared_k": v, "kind": k}
+                    for i, j, v, k in zip(*_edge_columns(triads))
+                ]),
             }
         )
-    return out
+    return {"epsilon": epsilon, "sigma": params.sigma, "kmax": kmax, "clusters": entries}

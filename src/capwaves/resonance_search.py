@@ -10,12 +10,16 @@ vorticity and the coupling over the whole (k1 <= k2) grid with vectorized
 numpy and returns the sorted columns (k1, k2, k3, omega_gen, z).  Writers that
 only format rows read those columns directly; :func:`enumerate_triads` turns
 them into immutable :class:`Triad` records for everything that works per
-triad.
+triad.  A record is a tuple (k1, k2, k3, omega_gen, z): its fields are read
+by name or position, it orders and hashes as that tuple, and rows of the
+grid, which satisfy the triad rule by construction, are made without
+re-checking it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,28 +40,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Triad:
-    """Exact resonance (k1, k2, k3=k1+k2) with generating vorticity and coupling.
-
-    Canonical ordering k1 <= k2 is assumed everywhere downstream.
-    """
-
+class _TriadRow(NamedTuple):
     k1: int
     k2: int
     k3: int
     omega_gen: float
     z: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.k1 <= self.k2):
-            raise ValueError(f"triad requires 0 < k1 <= k2, got ({self.k1}, {self.k2})")
-        if self.k3 != self.k1 + self.k2:
-            raise ValueError(f"triad requires k3 = k1 + k2, got {self.k3}")
+
+class Triad(_TriadRow):
+    """Exact resonance (k1, k2, k3=k1+k2) with generating vorticity and coupling.
+
+    Canonical ordering k1 <= k2 is assumed everywhere downstream; the
+    constructor checks it and k3 = k1 + k2.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k1: int, k2: int, k3: int, omega_gen: float, z: float) -> "Triad":
+        if not (0 < k1 <= k2):
+            raise ValueError(f"triad requires 0 < k1 <= k2, got ({k1}, {k2})")
+        if k3 != k1 + k2:
+            raise ValueError(f"triad requires k3 = k1 + k2, got {k3}")
+        return tuple.__new__(cls, (k1, k2, k3, omega_gen, z))
+
+    @classmethod
+    def _make(cls, iterable) -> "Triad":
+        # _replace builds through _make: keep it checked as well
+        return cls(*iterable)
 
     @property
     def wavenumbers(self) -> tuple[int, int, int]:
-        return (self.k1, self.k2, self.k3)
+        return self[:3]
 
 
 def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
@@ -85,10 +99,11 @@ def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
 def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
     """All exact triads with 1 <= k1 <= k2 <= kmax, sorted by generating vorticity.
 
-    The rows of :func:`triad_columns` as :class:`Triad` records.
+    The rows of :func:`triad_columns` as :class:`Triad` records; the grid
+    satisfies the triad rule, so the rows are not checked again.
     """
     columns = [c.tolist() for c in triad_columns(kmax, params)]
-    return [Triad(*row) for row in zip(*columns)]
+    return list(map(tuple.__new__, repeat(Triad), zip(*columns)))
 
 
 def _pair_grid(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

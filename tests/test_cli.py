@@ -163,6 +163,10 @@ GOLDEN_CLUSTER = {
              4, "e9fac92e9dc04bf570d1c0123670733aca824ad2cbd01e20e24623bc0f032b77"),
     "1e-3": ("b6492184531c66d6a21e2b6a7f5dd9daf54e4cdb00246f1f73e14be0d6048c28",
              159, "824d0a03567de28da58b8eb0184f03326eeaf4bbe2b1852ad5839c071d218150"),
+    # recorded from clusters_to_json and export_nr_diagram before the law
+    # count was exact, when `capwaves cluster` still refused this cell
+    "1e-2": ("b738fa18e30799ece3f2193b864c8581992848d242b6710ca330a7ed064a31da",
+             110, "8c2b84c49fa8913402c849dd9faf035f194d01eec8ff96a2f983646358236b11"),
 }
 # `capwaves simulate` at kmax 100, epsilon 1e-3, cluster 0 (5 triads on the
 # modes 84..92 and 176, 88 doubled) from the [initial] rows below, recorded
@@ -231,6 +235,15 @@ class TestCluster:
         dots = sorted(out.glob("cluster_*.dot"))
         assert len(dots) == 4
         assert all("AP" in d.read_text() for d in dots)
+
+    def test_giant_clusters_are_summarised(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["cluster", "--kmax", "100", "--epsilon", "1e-2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 111
+        assert lines[0].startswith("cluster 0: N=1687 n=71967 laws=1 ")
+        assert lines[1].startswith("cluster 1: N=1601 n=100724 laws=2 ")
+        assert lines[-1] == "110 multi-triad clusters, 845 isolated triads"
 
     def test_summary_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
         count = capwaves.cli.conservation_count

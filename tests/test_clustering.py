@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 from collections import Counter, defaultdict
 from functools import cache
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import capwaves.clustering
 from capwaves import (
     ClusterGraph,
     Connection,
@@ -22,6 +25,7 @@ from capwaves import (
     identification_count,
 )
 from capwaves.cli import _cluster_summary
+from capwaves.dynamics import _integer_nullspace, conserved_quadratics
 
 PAIRS_1E4 = {
     frozenset({(20, 94, 114), (24, 70, 94)}),
@@ -122,6 +126,18 @@ class TestBuildClusters:
         for cluster in clusters:
             assert cluster.connections is cluster._connections
 
+    def test_unlinked_triads_skip_the_graph_search(self, triads_100, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph searched with nothing to link")
+
+        fine = build_clusters(triads_100, 1e-8)
+        monkeypatch.setattr(capwaves.clustering, "connected_components", refuse)
+        assert build_clusters(triads_100, 1e-8) == fine
+        [single] = build_clusters([triads_100[7]], 1e-3)
+        assert single.triads == (triads_100[7],)
+        with pytest.raises(AssertionError, match="graph searched"):
+            build_clusters(triads_100, 1e-4)
+
     def test_isolated_triads_reported(self, triads_100):
         clusters = build_clusters(triads_100, 1e-8)
         assert len(clusters) == len(triads_100)
@@ -168,6 +184,119 @@ class TestConservationCount:
             carriers = Counter(v for t in cluster.triads for v in set(t.wavenumbers))
             assert identification_count(cluster) == sum(m - 1 for m in carriers.values())
 
+    def test_giants_are_counted(self, triads_100):
+        # M - rank(S) on the merged doubled slots; 2N - n would be -1536 and -1601
+        giant, second = build_clusters(triads_100, 1e-2)[:2]
+        assert (giant.size, conservation_count(giant)) == (1687, 1)
+        assert (second.size, conservation_count(second)) == (1601, 2)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+    def test_equals_paper_count_where_the_system_is_built(self, triads_100, epsilon):
+        for cluster in build_clusters(triads_100, epsilon):
+            if 1 < cluster.size <= 40:
+                system = build_system(cluster)
+                count = conservation_count(cluster)
+                assert count == len(system.quadratics)
+                assert count == 2 * cluster.size - identification_count(cluster)
+
+    def test_shared_doubled_mode_takes_one_slot(self, triads_by_wn):
+        # 3 is doubled in (3, 3, 6) and shared with (1, 2, 3): slots 3, 6, 1, 2
+        # and rows 2 c3 = c6, c1 + c2 = c3 leave two laws; two slots for the
+        # doubled 3 would leave three
+        pair = [triads_by_wn[(3, 3, 6)], triads_by_wn[(1, 2, 3)]]
+        [cluster] = build_clusters(pair, 0.99)
+        assert conservation_count(cluster) == 2
+        with pytest.raises(ValueError, match="inconsistent sharing"):
+            build_system(cluster)
+
+
+def _law_rows(triads) -> tuple[list[list[int]], int]:
+    """Dense rows of S over the law-count slots, built apart from the library:
+    one slot per value, and a second one for a value doubled in a k1 = k2
+    triad that no other triad carries."""
+    carriers = Counter(v for t in triads for v in set(t.wavenumbers))
+    keyed = []
+    for k1, k2, k3 in (t.wavenumbers for t in triads):
+        row: Counter = Counter()
+        row[k1] += 1
+        row[k2 if k2 != k1 or carriers[k1] > 1 else ("twin", k1)] += 1
+        row[k3] -= 1
+        keyed.append(row)
+    slots = sorted({key for row in keyed for key in row}, key=repr)
+    return [[row[key] for key in slots] for row in keyed], len(slots)
+
+
+@cache
+def _small_domain(kmax: int):
+    return enumerate_triads(kmax, FluidParams(1.0))
+
+
+class TestLawCountAgainstElimination:
+    """conservation_count propagates integer forms; on random sub-clusters,
+    doubled modes shared or not, it must equal the dimension of the null
+    space that exact elimination finds on the same slots, and the size of
+    build_system's basis wherever build_system accepts the cluster."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_sub_clusters(self, data):
+        domain = _small_domain(data.draw(st.integers(4, 24)))
+        doubled = [t for t in domain if t.k1 == t.k2]
+        picks = data.draw(st.lists(st.sampled_from(domain), min_size=2, max_size=30))
+        picks += data.draw(st.lists(st.sampled_from(doubled), max_size=4))
+        subset = sorted(set(picks))
+        for cluster in build_clusters(subset, 0.99):
+            count = conservation_count(cluster)
+            rows, n_slots = _law_rows(cluster.triads)
+            assert count == len(_integer_nullspace(rows, n_slots))
+            try:
+                system = build_system(cluster)
+            except ValueError:  # a doubled mode shared with another triad
+                assert any(t.k1 == t.k2 and any(t.k1 in u.wavenumbers for u in cluster.triads
+                                                if u != t) for t in cluster.triads)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # rank-deficient incidences warn
+                assert count == len(conserved_quadratics(system))
+
+    def test_hand_built_doubled_cases(self):
+        cases = [
+            [Triad(2, 2, 4, 1.0, 1.0)],  # unshared doubled: slots 2, 2', 4
+            [Triad(2, 2, 4, 1.0, 1.0), Triad(1, 3, 4, 1.0, 1.0)],  # 4 shared, 2 not
+            [Triad(2, 2, 4, 1.0, 1.0), Triad(2, 3, 5, 1.0, 1.0)],  # doubled 2 shared
+            [Triad(2, 2, 4, 1.0, 1.0), Triad(4, 4, 8, 1.0, 1.0), Triad(1, 1, 2, 1.0, 1.0)],
+            [Triad(2, 2, 4, 1.0, 1.0), Triad(2, 2, 4, 1.0, 1.0)],  # duplicated row
+            # c_4 and c_10 are fixed before c_2 and c_5: 2 c_k = c_2k may not fix c_k
+            [Triad(*wn, 1.0, 1.0) for wn in [(1, 1, 2), (1, 5, 6), (2, 2, 4), (2, 4, 6),
+                                             (3, 5, 8), (4, 6, 10), (5, 5, 10)]],
+        ]
+        for triads in cases:
+            cluster = ClusterGraph(tuple(triads), 1.0, 1.0, 0.0)
+            rows, n_slots = _law_rows(triads)
+            assert conservation_count(cluster) == len(_integer_nullspace(rows, n_slots))
+
+
+class TestRecords:
+    def test_connection_fields_order_and_hash(self, clusters_1e3):
+        star = {(48, 48, 96), (47, 49, 96), (28, 96, 124), (46, 50, 96)}
+        [cluster] = [c for c in clusters_1e3 if {t.wavenumbers for t in c.triads} == star]
+        for conn in cluster.connections:
+            assert tuple(conn) == (conn.triad_a, conn.triad_b, conn.shared_k, conn.kind)
+            assert type(conn) is Connection
+            assert hash(conn) == hash(tuple(conn))
+            assert Connection(*conn) == conn
+            with pytest.raises(AttributeError):
+                conn.kind = "PP"
+        assert sorted(cluster.connections) == sorted(tuple(c) for c in cluster.connections)
+
+    def test_cluster_graph_stays_frozen(self, clusters_1e3):
+        cluster = clusters_1e3[0]
+        for name in ("triads", "omega_min", "omega_max", "spread", "_connections"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cluster, name, None)
+        assert not hasattr(cluster, "__dict__")
+        assert cluster == dataclasses.replace(cluster)
+
 
 class TestExport:
     def test_single_triad_diagram(self, triads_by_wn):
@@ -211,6 +340,22 @@ class TestExport:
             assert 0 <= conn["a"] < len(entry["triads"])
             assert 0 <= conn["b"] < len(entry["triads"])
         json.dumps(payload)  # round-trippable
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 0.5])
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+def test_coupling_ratio_hints_match_a_walk_over_the_connections(triads_100, epsilon, rel_tol):
+    # at rel_tol 0.5 the windows around 1, 2 and 1/2 overlap: the first
+    # target in INTEGRABLE_RATIOS order wins
+    for cluster in build_clusters(triads_100, epsilon):
+        want = []
+        for conn in cluster.connections:
+            ratio = abs(conn.triad_a.z / conn.triad_b.z)
+            for target in (1.0, 2.0, 0.5):
+                if abs(ratio - target) <= rel_tol * target:
+                    want.append((conn, target))
+                    break
+        assert coupling_ratio_hints(cluster, rel_tol) == want
 
 
 def test_coupling_ratio_hints():

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from capwaves import (
     FluidParams,
+    Triad,
     branch_frequency,
     enumerate_triads,
     min_positive_width,
@@ -53,6 +54,42 @@ class TestEnumerateTriads:
         for t in triads_100:
             width = resonance_width(t.k1, t.k2, t.omega_gen, params_unit)
             assert width < 1e-9 * branch_frequency(t.k3, t.omega_gen, params_unit)
+
+
+class TestTriadRecord:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param((0, 1, 1), id="k1-zero"),
+            pytest.param((-1, 2, 1), id="k1-negative"),
+            pytest.param((3, 2, 5), id="k1-above-k2"),
+            pytest.param((1, 2, 4), id="k3-not-sum"),
+            pytest.param((2, 2, 2), id="doubled-k3-not-sum"),
+        ],
+    )
+    def test_constructor_rejects_broken_rows(self, row):
+        with pytest.raises(ValueError, match="triad requires"):
+            Triad(*row, 1.0, 0.5)
+        with pytest.raises(ValueError, match="triad requires"):
+            Triad(1, 2, 3, 1.0, 0.5)._replace(k1=row[0], k2=row[1], k3=row[2])
+
+    def test_fields_by_name_and_position(self, triads_by_wn):
+        t = triads_by_wn[(20, 94, 114)]
+        assert (t.k1, t.k2, t.k3, t.omega_gen, t.z) == tuple(t)
+        assert t.wavenumbers == t[:3] == (20, 94, 114)
+        assert Triad(*t) == t and type(Triad(*t)) is Triad
+        with pytest.raises(AttributeError):
+            t.z = 0.0
+
+    def test_order_and_hash_are_the_field_tuple(self, triads_100):
+        rows = [(t.k1, t.k2, t.k3, t.omega_gen, t.z) for t in triads_100]
+        assert sorted(triads_100) == [Triad(*r) for r in sorted(rows)]
+        assert [hash(t) for t in triads_100] == [hash(r) for r in rows]
+        assert {t: i for i, t in enumerate(triads_100)}[triads_100[17]] == 17
+
+    def test_grid_rows_equal_checked_rows(self, triads_100):
+        assert all(type(t) is Triad for t in triads_100)
+        assert triads_100 == [Triad(*t) for t in triads_100]
 
 
 class TestResonanceWidth:
