@@ -52,6 +52,7 @@ from .dynamics import (
 )
 from .resonance_search import (
     Triad,
+    TriadTable,
     enumerate_triads,
     min_positive_width,
     resonance_width,

@@ -15,6 +15,15 @@ neighbour gaps is chained through them, so the components equal those of the
 all-pairs rule at O(n log n) cost.  When no neighbour pair links, every
 triad is its own component and no graph is searched.
 
+Clustering is columnar: :func:`build_clusters` reads the columns of a
+:class:`~capwaves.resonance_search.TriadTable` (other record sequences are
+read into columns first), and each cluster it returns holds a row range of
+one member-ordered table shared by the whole clustering.  A cluster makes
+its ``Triad`` records only when ``triads`` is first read, and
+:func:`clusters_to_json` writes isolated triads straight from the columns,
+so at small epsilon, where most triads are isolated, no record is made for
+them.
+
 A cluster is its triads: which triads carry a wavenumber value, and in
 which role, fixes every diagram edge.  A mode is active (A) in a triad when
 it is the sum mode k3, passive (P) otherwise.  One tally, the role groups of
@@ -39,7 +48,8 @@ from n when three or more triads share one mode.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
@@ -50,7 +60,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .dispersion import FluidParams
-from .resonance_search import Triad
+from .resonance_search import Triad, TriadTable
 
 __all__ = [
     "Connection",
@@ -66,6 +76,9 @@ __all__ = [
 # coupling ratios at which single-shared-mode clusters are known integrable
 INTEGRABLE_RATIOS = (1.0, 2.0, 0.5)
 _TARGETS = np.array(INTEGRABLE_RATIOS)[:, None]
+# a triad record read into columns
+_RECORD = np.dtype([("k1", np.int64), ("k2", np.int64), ("k3", np.int64),
+                    ("omega_gen", float), ("z", float)])
 
 
 class Connection(NamedTuple):
@@ -122,27 +135,32 @@ class ClusterGraph:
 
     The typed shared-mode edges are derived from the triads: ``kind_counts``
     counts them from the role groups, and ``connections`` makes them on
-    first access and keeps them.
+    first access and keeps them.  A cluster that :func:`build_clusters`
+    made holds rows lo:hi of a table shared by the whole clustering and
+    makes its ``triads`` records on first access.
     """
 
     triads: tuple[Triad, ...]
     omega_min: float
     omega_max: float
     spread: float
-    # the edge cache lives in a slot: a per-instance __dict__, which
-    # functools.cached_property needs, would cost every isolated triad
+    # caches and the shared rows live in slots: a per-instance __dict__,
+    # which functools.cached_property needs, would cost every isolated triad
     _connections: tuple[Connection, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _table: TriadTable | None = field(default=None, init=False, repr=False, compare=False)
+    _lo: int = field(default=0, init=False, repr=False, compare=False)
+    _size: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.triads)
+        return len(self.triads) if self._table is None else self._size
 
     @property
     def connections(self) -> tuple[Connection, ...]:
         """The typed diagram edges (see the module docstring), built once."""
-        if len(self.triads) == 1:
+        if self.size == 1:
             return ()
         if self._connections is None:
             a, b, values, kinds = _edge_columns(self.triads)
@@ -168,7 +186,26 @@ class ClusterGraph:
         return +counts  # only the kinds present
 
 
-def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> list[ClusterGraph]:
+# The triads field reads through a property over its slot: a cluster made
+# over shared rows sets the slot on first read, and __init__, replace and
+# unpickling set it through the property as they set any field.
+_TRIADS_SLOT = ClusterGraph.triads
+
+
+def _cluster_triads(cluster: ClusterGraph) -> tuple[Triad, ...]:
+    try:
+        return _TRIADS_SLOT.__get__(cluster)
+    except AttributeError:  # not read since build_clusters made it
+        triads = tuple(cluster._table[cluster._lo:cluster._lo + cluster._size])
+        _TRIADS_SLOT.__set__(cluster, triads)
+        return triads
+
+
+ClusterGraph.triads = property(_cluster_triads, _TRIADS_SLOT.__set__,
+                               doc="The cluster's triads, in Triad order.")
+
+
+def build_clusters(triads: TriadTable | Iterable[Triad], epsilon: float) -> list[ClusterGraph]:
     """Partition triads into clusters at vorticity accuracy epsilon.
 
     Returns every connected component, isolated triads included, sorted by
@@ -176,12 +213,20 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
     component lists its triads in Triad order.  The pairwise link rule makes
     the partition refine monotonically in epsilon and keeps it independent
     of sigma, since relative vorticity gaps do not depend on the fluid.
+
+    A :class:`TriadTable` is read as columns; any other sequence of records
+    is read into columns first.  The clusters share one table of the
+    triads in member order, and none makes a record before it is read.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    triads = list(triads)
-    n = len(triads)
-    k1, k2, k3, omega, z = np.fromiter(chain.from_iterable(triads), float, 5 * n).reshape(n, 5).T
+    if isinstance(triads, TriadTable):
+        columns = triads.columns
+    else:
+        rows = np.fromiter(triads, _RECORD)
+        columns = tuple(rows[name] for name in _RECORD.names)
+    k1, k2, k3, omega, z = columns
+    n = len(k1)
     # one (value, owner) carrier per distinct wavenumber of each triad
     owner = np.arange(n)
     doubled = k2 == k1
@@ -200,25 +245,42 @@ def build_clusters(triads: list[Triad] | tuple[Triad, ...], epsilon: float) -> l
         label = connected_components(links, directed=False)[1]
     else:
         label = owner
-    # members of each component in Triad order, components one after another
-    members = np.lexsort((z, omega, k3, k2, k1, label))
-    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
-    ends = np.append(starts, n)[1:]
+    # members of each component in Triad order, components one after another;
+    # the labels number the components from 0
+    in_order = np.lexsort((z, omega, k3, k2, k1))
+    members = in_order[np.argsort(label[in_order], kind="stable")]
+    sizes = np.bincount(label)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     # the same blocks sorted by vorticity: their first and last members give
-    # each range, read off the triads so that no float is made per cluster
+    # each range
     by_omega = np.lexsort((omega, label))
-    lowest, highest = by_omega[starts], by_omega[ends - 1]
-    first = members[starts]
-    ranked = np.lexsort((z[first], omega[first], k3[first], k2[first], k1[first],
-                         omega[lowest], starts - ends))
-    ordered = [triads[i] for i in members.tolist()]
-    clusters = []
-    for lo, hi, i_min, i_max in zip(starts[ranked].tolist(), ends[ranked].tolist(),
-                                    lowest[ranked].tolist(), highest[ranked].tolist()):
-        lo_om, hi_om = triads[i_min][3], triads[i_max][3]
-        clusters.append(
-            ClusterGraph(tuple(ordered[lo:hi]), lo_om, hi_om, (hi_om - lo_om) / hi_om)
-        )
+    lowest, highest = omega[by_omega[starts]], omega[by_omega[ends - 1]]
+    # equal records always share a cluster, so the place of each cluster's
+    # first triad in Triad order ranks the clusters as those records do
+    place = np.empty(n, dtype=np.intp)
+    place[in_order] = owner
+    ranked = np.lexsort((place[members[starts]], lowest, -sizes))
+    lowest, highest, sizes = lowest[ranked], highest[ranked], sizes[ranked]
+    # the isolated triads come last: there the range is one vorticity, whose
+    # float serves both ends, and the spread is 0.0
+    n_multi = np.count_nonzero(sizes > 1)
+    omega_min = lowest.tolist()
+    omega_max = highest[:n_multi].tolist() + omega_min[n_multi:]
+    spread = ((highest - lowest) / highest)[:n_multi].tolist() + [0.0] * (len(sizes) - n_multi)
+    # a frozen dataclass's __init__ sets each field through object.__setattr__;
+    # here each slot is set for every cluster at once
+    clusters = list(map(object.__new__, repeat(ClusterGraph, len(sizes))))
+    for slot, column in (
+        (ClusterGraph._table, repeat(TriadTable(*(c[members] for c in columns)))),
+        (ClusterGraph._lo, starts[ranked].tolist()),
+        (ClusterGraph._size, sizes.tolist()),
+        (ClusterGraph.omega_min, omega_min),
+        (ClusterGraph.omega_max, omega_max),
+        (ClusterGraph.spread, spread),
+        (ClusterGraph._connections, repeat(None)),
+    ):
+        deque(map(slot.__set__, clusters, column), maxlen=0)
     return clusters
 
 
@@ -386,16 +448,21 @@ def clusters_to_json(
     its triads.  The vorticities and connections are tuples, which the
     cyclic garbage collector stops tracking once their items are plain
     numbers and strings; the wavenumber rows stay lists.  ``json.dumps``
-    writes both as arrays.
+    writes both as arrays.  An isolated triad of :func:`build_clusters` is
+    written from the shared columns, without its record.
     """
     entries = []
+    table = None
     for cl in clusters:
-        triads = cl.triads
-        if len(triads) == 1:
-            (t,) = triads
-            entries.append({"triads": [[t[0], t[1], t[2]]], "vorticities": (t[3],),
+        if cl._table is not None and cl._size == 1:
+            if cl._table is not table:
+                table = cl._table
+                k1, k2, k3 = (c.tolist() for c in table.columns[:3])
+            i = cl._lo
+            entries.append({"triads": [[k1[i], k2[i], k3[i]]], "vorticities": (cl.omega_min,),
                             "spread": cl.spread, "connections": ()})
             continue
+        triads = cl.triads
         entries.append(
             {
                 "triads": [[t[0], t[1], t[2]] for t in triads],

@@ -658,7 +658,8 @@ def solve_dense(
     and at least ``TOL_FLOOR`` (100 eps, below which scipy would raise
     ``rtol`` and leave ``atol``), a finite initial state.  It is the handle to
     use when comparing trajectories against closed-form solutions at
-    arbitrary times.
+    arbitrary times.  A state whose triple products B1 B2 B3* overflow has
+    no finite Hamiltonian terms and fails at t = 0 with IntegrationError.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (system.n_modes,):
@@ -670,6 +671,13 @@ def solve_dense(
         raise ValueError(f"tol must be at least 100 eps = {TOL_FLOOR!r}, got {tol}")
     if not np.isfinite(initial).all():
         raise ValueError("initial state must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = not np.isfinite(_triple_products(system, initial)).all()
+    if overflow:
+        raise IntegrationError(
+            "integration failed at t=0.0: the triple products B1 B2 B3* overflow "
+            "at the initial state", 0.0, initial,
+        )
     scale = max(float(np.max(np.abs(initial))), 1.0)
     return _dop853(system, initial, float(t_end), tol, tol * scale)
 

@@ -7,18 +7,20 @@ arbitrary vorticity quantifies how far it is from exact resonance.
 
 Enumeration is columnar: :func:`triad_columns` evaluates the closed-form
 vorticity and the coupling over the whole (k1 <= k2) grid with vectorized
-numpy and returns the sorted columns (k1, k2, k3, omega_gen, z).  Writers that
-only format rows read those columns directly; :func:`enumerate_triads` turns
-them into immutable :class:`Triad` records for everything that works per
-triad.  A record is a tuple (k1, k2, k3, omega_gen, z): its fields are read
-by name or position, it orders and hashes as that tuple, and rows of the
-grid, which satisfy the triad rule by construction, are made without
-re-checking it.
+numpy and returns the sorted columns (k1, k2, k3, omega_gen, z).
+:func:`enumerate_triads` wraps them in a :class:`TriadTable`, a read-only
+sequence that makes a :class:`Triad` record only when an item is indexed or
+iterated; clustering and the writers read the columns themselves.  A record
+is a tuple (k1, k2, k3, omega_gen, z): its fields are read by name or
+position, it orders and hashes as that tuple, and rows of the grid, which
+satisfy the triad rule by construction, are made without re-checking it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +35,7 @@ from .dispersion import (
 
 __all__ = [
     "Triad",
+    "TriadTable",
     "triad_columns",
     "enumerate_triads",
     "resonance_width",
@@ -81,7 +84,7 @@ def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
     k3 = k1 + k2 is deliberately not clipped to kmax: clusters of interest
     contain sum modes beyond the search domain.  Each column has exactly
     kmax (kmax + 1) / 2 entries; the coupling is taken at each triad's own
-    generating vorticity.
+    generating vorticity.  The columns are read-only.
     """
     k1, k2, k3 = _pair_grid(kmax)
     with np.errstate(all="ignore"):
@@ -93,17 +96,54 @@ def triad_columns(kmax: int, params: FluidParams) -> tuple[np.ndarray, ...]:
             f"at kmax = {kmax}"
         )
     order = np.lexsort((k2, k1, omega))
-    return k1[order], k2[order], k3[order], omega[order], z[order]
+    columns = k1[order], k2[order], k3[order], omega[order], z[order]
+    for c in columns:
+        c.flags.writeable = False
+    return columns
 
 
-def enumerate_triads(kmax: int, params: FluidParams) -> list[Triad]:
+class TriadTable(Sequence):
+    """Read-only sequence of :class:`Triad` records over five columns.
+
+    ``columns`` are the (k1, k2, k3, omega_gen, z) arrays, integer and float,
+    read-only when they come from :func:`triad_columns`.  A record is made
+    from them only when an item is indexed or iterated, and a slice is a
+    table over views of the same columns.  A table compares equal to a list
+    or table of the same records.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, k1, k2, k3, omega_gen, z) -> None:
+        self.columns = (k1, k2, k3, omega_gen, z)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TriadTable(*(c[i] for c in self.columns))
+        i = index(i)
+        return tuple.__new__(Triad, [c.item(i) for c in self.columns])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(Triad), zip(*(c.tolist() for c in self.columns)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, TriadTable)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def enumerate_triads(kmax: int, params: FluidParams) -> TriadTable:
     """All exact triads with 1 <= k1 <= k2 <= kmax, sorted by generating vorticity.
 
-    The rows of :func:`triad_columns` as :class:`Triad` records; the grid
-    satisfies the triad rule, so the rows are not checked again.
+    The rows of :func:`triad_columns` as a :class:`TriadTable`; the grid
+    satisfies the triad rule, so its records are not checked again.
     """
-    columns = [c.tolist() for c in triad_columns(kmax, params)]
-    return list(map(tuple.__new__, repeat(Triad), zip(*columns)))
+    return TriadTable(*triad_columns(kmax, params))
 
 
 def _pair_grid(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ without rendering any text, so a change to the cluster or trajectory types
 that would break the benchmark fails here first.
 """
 
+import hashlib
 import sys
 import time
 from functools import cache
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from capwaves import (
-    FluidParams,
     build_clusters,
     build_system,
     characteristic_time,
@@ -38,15 +38,30 @@ sys.path.insert(0, str(BENCH))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
-def test_catalogue_gates_hold(triads_100, params_unit, epsilon):
+# sha256 of the wavenumbers of the clusters cluster_flow integrates, recorded
+# before clustering read triads as columns; their order fixes the states a
+# pass draws, and so the drift failures it counts
+FLOW_CLUSTERS_SHA256 = "0e4368cd840816c42cec17f31917f95905fa9cbb7bc1d67eeab53ef6507648e8"
+
+
+@pytest.mark.parametrize(
+    "kmax, epsilon",
+    [pytest.param(kmax, eps, id=f"{eps:g}" if kmax == 100 else f"kmax{kmax}-{eps:g}")
+     for kmax, eps in workloads.CATALOGUE_CELLS],
+)
+def test_catalogue_gates_hold(params_unit, kmax, epsilon):
     digests = workloads.Catalogue(seed=1, out_dir=Path("unused")).digests
+    triads = enumerate_triads(kmax, params_unit)
     t0 = time.perf_counter()
-    clusters = build_clusters(triads_100, epsilon)
+    clusters = build_clusters(triads, epsilon)
     build_s = time.perf_counter() - t0
-    payload = clusters_to_json(clusters, epsilon, params_unit, 100)
-    assert workloads.structure_digest(payload) == digests[f"100:{epsilon:g}"]
-    assert workloads.published_table_misses(epsilon, clusters, build_s) == []
+    payload = clusters_to_json(clusters, epsilon, params_unit, kmax)
+    assert workloads.structure_digest(payload) == digests[f"{kmax}:{epsilon:g}"]
+    # the columns and the records make one payload
+    records = clusters_to_json(build_clusters(list(triads), epsilon), epsilon, params_unit, kmax)
+    assert records == payload
+    if kmax == 100:
+        assert workloads.published_table_misses(epsilon, clusters, build_s) == []
 
     res = workloads.PassResult()
     multi = [c for c in clusters if c.size > 1]
@@ -55,7 +70,7 @@ def test_catalogue_gates_hold(triads_100, params_unit, epsilon):
             conservation_count(cl)
             coupling_ratio_hints(cl)
         except ValueError as exc:
-            workloads.record_summary_error(res, 100, epsilon, cl.size, exc)
+            workloads.record_summary_error(res, kmax, epsilon, cl.size, exc)
         else:
             res.op()
     assert res.attempted == len(multi)
@@ -63,13 +78,24 @@ def test_catalogue_gates_hold(triads_100, params_unit, epsilon):
 
 
 @cache
+def _flow_clusters():
+    """The first cluster of each size in FLOW_SIZES, as cluster_flow's set-up takes them."""
+    return workloads.ClusterFlow(seed=1, out_dir=Path("unused")).clusters
+
+
+def test_flow_clusters_are_pinned():
+    clusters = _flow_clusters()
+    assert [c.size for c in clusters] == list(workloads.FLOW_SIZES)
+    text = repr([[t.wavenumbers for t in c.triads] for c in clusters])
+    assert hashlib.sha256(text.encode()).hexdigest() == FLOW_CLUSTERS_SHA256
+
+
+@cache
 def _flow_cluster(name: str):
     """The acceptance four-star, or the first 12-triad cluster of the flow cell."""
     if name == "four-star":
         return next(c for n, c, _ in _reference_topologies() if n == name)
-    triads = enumerate_triads(workloads.FLOW_KMAX, FluidParams(1.0))
-    clusters = build_clusters(triads, workloads.FLOW_EPSILON)
-    return next(c for c in clusters if c.size == 12)
+    return next(c for c in _flow_clusters() if c.size == 12)
 
 
 @pytest.mark.parametrize("name", ["four-star", "12-triad"])

@@ -361,10 +361,11 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
-    def test_overflowing_amplitudes_give_one_error_line(self, tmp_path, capsys):
-        # the right-hand side overflows at the initial state: no step size
-        # exists, and the run fails without a numpy warning
-        config = self._config(tmp_path, ["1 1e160 0.0", "2 1e160 0.0", "3 1e160 0.0"])
+    @pytest.mark.parametrize("amplitude", ["1e150", "1e154", "1e160"])
+    def test_overflowing_amplitudes_give_one_error_line(self, tmp_path, capsys, amplitude):
+        # the triple products overflow at the initial state (at 1e160 the
+        # right-hand side too): the run fails without a numpy warning
+        config = self._config(tmp_path, [f"{k} {amplitude} 0.0" for k in (1, 2, 3)])
         assert main(["simulate", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -490,6 +490,11 @@ class TestAdjacentLinkEquivalence:
         _assert_same_clusters(
             build_clusters(subset, epsilon), _reference_build_clusters(subset, epsilon)
         )
+        # the window as a slice of the columns and as its records
+        columns, records = build_clusters(window, epsilon), build_clusters(list(window), epsilon)
+        assert [c.triads for c in columns] == [c.triads for c in records]
+        assert columns == records
+        assert [hash(c) for c in columns] == [hash(c) for c in records]
 
     @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
     def test_whole_kmax_100_domain(self, triads_100, epsilon):
