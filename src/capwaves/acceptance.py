@@ -78,12 +78,12 @@ class CheckResult:
 
 @lru_cache(maxsize=4)
 def _triads(sigma: float):
-    return tuple(enumerate_triads(KMAX, FluidParams(sigma)))
+    return enumerate_triads(KMAX, FluidParams(sigma))
 
 
 @lru_cache(maxsize=16)
 def _clusters(sigma: float, epsilon: float):
-    return tuple(build_clusters(list(_triads(sigma)), epsilon))
+    return tuple(build_clusters(_triads(sigma), epsilon))
 
 
 def _multi_sets(clusters) -> set[frozenset]:
@@ -102,7 +102,7 @@ def _find_cluster(clusters, triple):
 
 def check_cluster_table_1e4() -> CheckResult:
     t0 = time.perf_counter()
-    clusters = build_clusters(list(_triads(SIGMA_WATER_25C)), 1e-4)
+    clusters = build_clusters(_triads(SIGMA_WATER_25C), 1e-4)
     elapsed = time.perf_counter() - t0
     multi = _multi_sets(clusters)
     ok = multi == PAIRS_1E4 and elapsed < 10.0
@@ -174,7 +174,7 @@ def check_two_triad_count_1e3() -> CheckResult:
 def check_isolated_below_1e5() -> CheckResult:
     counts = {}
     for eps in (1e-8, 1e-7, 1e-6, 1e-5):
-        clusters = build_clusters(list(_triads(SIGMA_WATER_25C)), eps)
+        clusters = build_clusters(_triads(SIGMA_WATER_25C), eps)
         counts[eps] = sum(1 for c in clusters if c.size > 1)
     ok = all(v == 0 for v in counts.values())
     return CheckResult(
@@ -187,7 +187,7 @@ def check_isolated_below_1e5() -> CheckResult:
 
 def check_giant_cluster_1e2() -> CheckResult:
     t0 = time.perf_counter()
-    clusters = build_clusters(list(_triads(SIGMA_WATER_25C)), 1e-2)
+    clusters = build_clusters(_triads(SIGMA_WATER_25C), 1e-2)
     largest = clusters[0]
     elapsed = time.perf_counter() - t0
     n_conns = sum(largest.kind_counts.values())
@@ -236,7 +236,7 @@ def check_sigma_scaling() -> CheckResult:
     for sigma in (SIGMA_WATER_25C, SIGMA_WATER_5C, 1.0, 1e-5):
         parts = {}
         for eps in (1e-4, 1e-3):
-            parts[eps] = _multi_sets(build_clusters(list(_triads(sigma)), eps))
+            parts[eps] = _multi_sets(build_clusters(_triads(sigma), eps))
         partitions.append(parts)
     same = all(p == partitions[0] for p in partitions[1:])
     ok = worst_om < 1e-12 and worst_z < 1e-12 and same

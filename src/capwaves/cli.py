@@ -97,7 +97,10 @@ def parse_config(text: str) -> RunConfig:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'wavenumber amplitude phase'")
-            initial.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            k = int(parts[0])
+            if any(k == row[0] for row in initial):
+                raise ValueError(f"line {lineno}: duplicated wavenumber {k} in [initial]")
+            initial.append((k, float(parts[1]), float(parts[2])))
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")

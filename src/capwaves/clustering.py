@@ -104,6 +104,23 @@ def _role_groups(triads) -> list[tuple[int, list[int], list[int]]]:
     return [(v, a, p) for v, (a, p) in sorted(groups.items()) if len(a) + len(p) > 1]
 
 
+def _slot_table(triads) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The wavenumber of each mode slot, and the slots (s1, s2, s3) of each
+    triad's k1, k2, k3.  Each value takes one slot, numbered by first
+    appearance over k1, k2, k3 of each triad in turn.  A value doubled in a
+    k1 = k2 triad that no other triad carries takes a second slot right
+    after its first; one that another triad carries keeps one, s1 == s2."""
+    carried = Counter(chain.from_iterable(t[:3] for t in triads))
+    # slots in order of their keys; the second slot of a doubled value that
+    # only its own triad carries (twice) is keyed -k, which no wavenumber is
+    slot_of: dict[int, int] = {}
+    rows = [(slot_of.setdefault(k1, len(slot_of)),
+             slot_of.setdefault(-k2 if k2 == k1 and carried[k1] == 2 else k2, len(slot_of)),
+             slot_of.setdefault(k3, len(slot_of)))
+            for k1, k2, k3, _, _ in triads]
+    return list(map(abs, slot_of)), rows
+
+
 def _edge_columns(triads) -> tuple[list[int], list[int], list[int], list[str]]:
     """Columns (a, b, value, kind) of every diagram edge in connection order,
     with a and b positions in triads: per shared value an AA clique, one AP
@@ -295,11 +312,12 @@ def conservation_count(cluster: ClusterGraph) -> int:
     cluster dynamics: M - rank(S), in exact integer arithmetic.
 
     S is the signed incidence between the triads and the cluster's M mode
-    slots, one slot per wavenumber value.  A value doubled in a k1 = k2
-    triad takes two slots when no other triad carries it, as in
-    :func:`capwaves.dynamics.build_system`, and one slot, counted twice in
-    the triad's row, when another triad shares it.  Each row reads
-    c_k1 + c_k2 = c_k3 (or 2 c_k = c_2k on one slot).
+    slots, read off the slot table that
+    :func:`capwaves.dynamics.build_system` reads too: one slot per
+    wavenumber value, and a value doubled in a k1 = k2 triad takes two
+    slots when no other triad carries it, one slot, counted twice in the
+    triad's row, when another triad shares it.  Each row reads
+    c_s1 + c_s2 = c_s3 (or 2 c_s1 = c_s3 on one slot).
 
     The count propagates integer linear forms: the most carried slot whose
     coefficient is still open becomes a free parameter, and a row with one
@@ -314,22 +332,14 @@ def conservation_count(cluster: ClusterGraph) -> int:
     more triads on one mode still remove one law per identification, not
     per diagram edge.
     """
-    slot_of: dict[int, int] = {}
-    rows: list[list[tuple[int, int]]] = []  # (slot, coefficient) per triad
-    for k1, k2, k3, _, _ in cluster.triads:
-        s1 = slot_of.setdefault(k1, len(slot_of))
-        row = [(s1, 2)] if k2 == k1 else [(s1, 1), (slot_of.setdefault(k2, len(slot_of)), 1)]
-        row.append((slot_of.setdefault(k3, len(slot_of)), -1))
-        rows.append(row)
-    carriers: list[list[int]] = [[] for _ in slot_of]
+    modes, slots = _slot_table(cluster.triads)
+    # (slot, coefficient) per triad; a merged doubled slot counts twice
+    rows = [[(s1, 2), (s3, -1)] if s1 == s2 else [(s1, 1), (s2, 1), (s3, -1)]
+            for s1, s2, s3 in slots]
+    carriers: list[list[int]] = [[] for _ in modes]
     for r, row in enumerate(rows):
         for slot, _ in row:
             carriers[slot].append(r)
-    for r, row in enumerate(rows):
-        if row[0][1] == 2 and len(carriers[row[0][0]]) == 1:
-            # a doubled value that no other triad carries keeps two slots
-            rows[r] = [(row[0][0], 1), (len(carriers), 1), row[1]]
-            carriers.append([r])
     n_slots = len(carriers)
     open_in_row = [len(row) for row in rows]
     forms: list[dict[int, int] | None] = [None] * n_slots

@@ -53,8 +53,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import minimize_scalar
 
-from .clustering import ClusterGraph, _role_groups
-from .resonance_search import Triad
+from .clustering import ClusterGraph, _slot_table
 
 __all__ = [
     "TriadTerm",
@@ -92,6 +91,8 @@ class TriadTerm:
 class ClusterSystem:
     """Deduplicated mode slots and the slot table of per-triad coupling terms.
 
+    :func:`build_system` reads both off the cluster's slot table, the one
+    that :func:`capwaves.clustering.conservation_count` counts laws on.
     Slot count M = 3N - n with n the number of shared-mode identifications.
     Every other view of the table (``term_rows``, ``term_arrays``,
     ``incidence``, ``quadratics``) is derived from ``terms`` when first asked
@@ -100,7 +101,6 @@ class ClusterSystem:
 
     modes: tuple[int, ...]  # wavenumber per slot; k1 = k2 triads carry two slots
     terms: tuple[TriadTerm, ...]
-    triads: tuple[Triad, ...]
 
     @property
     def n_modes(self) -> int:
@@ -161,37 +161,24 @@ class IntegrationError(RuntimeError):
 def build_system(cluster: ClusterGraph) -> ClusterSystem:
     """Assemble the coupled ODE system of a cluster.
 
-    Mode slots are merged across triads by shared wavenumber value.  A triad
-    with k1 = k2 keeps two distinct slots for the duplicated value (the
-    published two-triad systems treat them as independent variables); if such
-    a value is additionally shared with another triad the mapping would be
-    ambiguous and a structural error is raised.
+    The slots and each triad's row are the cluster's one slot table, which
+    :func:`capwaves.clustering.conservation_count` reads too: one slot per
+    shared wavenumber value, in order of first appearance.  A triad with
+    k1 = k2 keeps two distinct slots for the duplicated value (the published
+    two-triad systems treat them as independent variables); if such a value
+    is additionally shared with another triad, the table merges it into one
+    slot, which this system does not model, and a structural error is raised.
     """
-    shared = {value for value, _, _ in _role_groups(cluster.triads)}
-    modes: list[int] = []
-    value_slot: dict[int, int] = {}
-    terms: list[TriadTerm] = []
-    for t in cluster.triads:
-        slot_idx: list[int] = []
-        for pos, v in enumerate(t.wavenumbers):
-            duplicate = pos == 1 and t.k2 == t.k1
-            if duplicate:
-                if v in shared:
-                    raise ValueError(
-                        f"inconsistent sharing: value {v} is duplicated inside triad "
-                        f"{t.wavenumbers} and shared with another triad"
-                    )
-                modes.append(v)
-                slot_idx.append(len(modes) - 1)
-                continue
-            if v in value_slot:
-                slot_idx.append(value_slot[v])
-            else:
-                modes.append(v)
-                value_slot[v] = len(modes) - 1
-                slot_idx.append(value_slot[v])
-        terms.append(TriadTerm(slot_idx[0], slot_idx[1], slot_idx[2], t.z))
-    return ClusterSystem(modes=tuple(modes), terms=tuple(terms), triads=tuple(cluster.triads))
+    triads = cluster.triads
+    modes, slots = _slot_table(triads)
+    for t, (s1, s2, _) in zip(triads, slots):
+        if s1 == s2:
+            raise ValueError(
+                f"inconsistent sharing: value {t.k1} is duplicated inside triad "
+                f"{t.wavenumbers} and shared with another triad"
+            )
+    terms = tuple(TriadTerm(*row, t.z) for t, row in zip(triads, slots))
+    return ClusterSystem(modes=tuple(modes), terms=terms)
 
 
 def mode_labels(system: ClusterSystem) -> list[str]:
@@ -750,21 +737,19 @@ def measure_period(
     initial: np.ndarray,
     t_end: float,
     tol: float = 1e-12,
-    mode: int | None = None,
 ) -> float:
-    """Oscillation period of one squared amplitude, |B_mode|².
+    """Oscillation period of |B3|², the squared amplitude of the first triad's
+    active slot, which is periodic for an isolated triad.
 
     A coarse estimate comes from the autocorrelation of the sampled signal;
     it is then refined to the spacing of two consecutive minima located on
-    the integrator's dense output.  Defaults to the active slot of the first
-    triad, whose squared amplitude is periodic for an isolated triad.
+    the integrator's dense output.
     """
-    if mode is None:
-        mode = system.terms[0].m3
-    b_mode = solve_dense(system, np.asarray(initial, dtype=complex), t_end, tol).slot(mode)
+    solution = solve_dense(system, np.asarray(initial, dtype=complex), t_end, tol)
+    b3 = solution.slot(system.terms[0].m3)
 
     def rho(t):
-        return np.abs(b_mode(t)) ** 2
+        return np.abs(b3(t)) ** 2
 
     ngrid = 8192
     ts = np.linspace(0.0, t_end, ngrid)

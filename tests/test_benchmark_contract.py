@@ -42,6 +42,14 @@ import workloads  # noqa: E402
 # before clustering read triads as columns; their order fixes the states a
 # pass draws, and so the drift failures it counts
 FLOW_CLUSTERS_SHA256 = "0e4368cd840816c42cec17f31917f95905fa9cbb7bc1d67eeab53ef6507648e8"
+# sha256 of the slot tables, (modes, term_rows), that build_system gives the
+# flow clusters and the multi-triad clusters it accepts at kmax 100, eps 1e-2,
+# recorded before build_system and conservation_count shared one slot table;
+# the slot order fixes the states cluster_flow draws and trajectory.csv
+SLOT_TABLES_SHA256 = {
+    "flow": "79eb2d9e36edb6ed3f3507b96f74adf48948873d5a423bce3d9fc9e1df455a2b",
+    "kmax100-0.01": "2a95aaf8636822ff181c4d4604945befe09520851637c8786bd83629a15d79d7",
+}
 
 
 @pytest.mark.parametrize(
@@ -88,6 +96,26 @@ def test_flow_clusters_are_pinned():
     assert [c.size for c in clusters] == list(workloads.FLOW_SIZES)
     text = repr([[t.wavenumbers for t in c.triads] for c in clusters])
     assert hashlib.sha256(text.encode()).hexdigest() == FLOW_CLUSTERS_SHA256
+
+
+@pytest.mark.parametrize("name", list(SLOT_TABLES_SHA256))
+def test_slot_tables_are_pinned(params_unit, name):
+    if name == "flow":
+        clusters = _flow_clusters()
+    else:
+        clusters = build_clusters(enumerate_triads(100, params_unit), 1e-2)
+    tables = []
+    for cluster in clusters:
+        if cluster.size == 1:
+            continue
+        try:
+            system = build_system(cluster)
+        except ValueError:  # a doubled value shared with another triad
+            continue
+        tables.append((system.modes, system.term_rows))
+    assert len(tables) == (9 if name == "flow" else 108)
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == SLOT_TABLES_SHA256[name]
 
 
 @cache

@@ -339,8 +339,9 @@ class TestSimulate:
             (["1 1.0 0.0", "2 0.8 0.0"], []),
             (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0", "7 1.0 0.0"], []),
             (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--tol", "1e-16"]),
+            (["1 1.0 0.0", "2 0.5 0.0", "2 0.9 0.1", "3 0.5 0.0"], []),
         ],
-        ids=["cluster-id", "missing", "unknown", "tol-floor"],
+        ids=["cluster-id", "missing", "unknown", "tol-floor", "duplicate"],
     )
     def test_usage_error_writes_nothing(self, tmp_path, capsys, initial, flags):
         config = self._config(tmp_path, initial)

@@ -222,7 +222,6 @@ class TestHamiltonian:
         corrupted = ClusterSystem(
             modes=pp_butterfly.modes,
             terms=(TriadTerm(t0.m1, t0.m2, t0.m3, -t0.z), t1),
-            triads=pp_butterfly.triads,
         )
         rng = np.random.default_rng(4)
         b0 = rng.uniform(0.6, 1.1, 5) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5))
@@ -389,7 +388,7 @@ class TestConservedQuadratics:
     def test_rank_deficiency_warns_on_every_call(self):
         # two triads on the same three slots: rank 1, so M - rank = 2 > M - N = 1
         system = ClusterSystem(
-            modes=(5, 7, 12), terms=(TriadTerm(0, 1, 2, 1.0), TriadTerm(0, 1, 2, 2.0)), triads=()
+            modes=(5, 7, 12), terms=(TriadTerm(0, 1, 2, 1.0), TriadTerm(0, 1, 2, 2.0))
         )
         for _ in range(2):
             with pytest.warns(UserWarning, match="rank-deficient incidence"):
