@@ -97,10 +97,12 @@ def parse_config(text: str) -> RunConfig:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'wavenumber amplitude phase'")
-            k = int(parts[0])
+            k, amp, theta = int(parts[0]), float(parts[1]), float(parts[2])
             if any(k == row[0] for row in initial):
                 raise ValueError(f"line {lineno}: duplicated wavenumber {k} in [initial]")
-            initial.append((k, float(parts[1]), float(parts[2])))
+            if not (math.isfinite(amp) and math.isfinite(theta)):
+                raise ValueError(f"line {lineno}: amplitude and phase must be finite")
+            initial.append((k, amp, theta))
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
@@ -108,6 +110,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _SCALAR_FIELDS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: duplicated key {key!r}")
         values[key] = _SCALAR_FIELDS[key](value.strip())
     return RunConfig(initial=tuple(initial), **values)
 

@@ -37,12 +37,12 @@ edge counts follow from the group sizes alone; the writers read the edges as
 columns of triad positions, and ``Connection`` records are made only when
 ``connections`` is read.
 
-The number of independent conserved quadratics of a cluster is M - rank(S),
-with S the signed incidence between its triads and its M mode slots (see
-:func:`conservation_count`).  It equals the paper's 2N - n, with n the
-number of shared-mode identifications, when S has full rank and no doubled
-mode is shared; the diagram's edge count is a third number, which differs
-from n when three or more triads share one mode.
+The conserved quadratics of a cluster are the null space of S^T, with S the
+signed incidence between its triads and its M mode slots.  One integer pass
+over the slot table gives both their number, M - rank(S)
+(:func:`conservation_count`), and the basis of the cluster's system.  The
+diagram's edge count is a third number, which differs from the paper's n
+when three or more triads share one mode.
 """
 
 from __future__ import annotations
@@ -311,39 +311,40 @@ def conservation_count(cluster: ClusterGraph) -> int:
     """Number of independent conserved quadratics sum_m c_m |B_m|² of the
     cluster dynamics: M - rank(S), in exact integer arithmetic.
 
-    S is the signed incidence between the triads and the cluster's M mode
-    slots, read off the slot table that
-    :func:`capwaves.dynamics.build_system` reads too: one slot per
-    wavenumber value, and a value doubled in a k1 = k2 triad takes two
-    slots when no other triad carries it, one slot, counted twice in the
-    triad's row, when another triad shares it.  Each row reads
-    c_s1 + c_s2 = c_s3 (or 2 c_s1 = c_s3 on one slot).
-
-    The count propagates integer linear forms: the most carried slot whose
-    coefficient is still open becomes a free parameter, and a row with one
-    open slot of coefficient +-1 fixes that slot's form by additions alone.
-    Rows that fix no slot are constraints on the d parameters, evaluated
-    once every slot has its form; the count is d - rank(constraints).
-    Momentum, c = k, is always conserved, so that rank stops at d - 1.
-
-    For an isolated triad, pairs and chains, and whenever S has full rank
-    and no doubled mode is shared, this is the paper's 2N - n with n the
-    shared-mode identifications (:func:`identification_count`); three or
-    more triads on one mode still remove one law per identification, not
-    per diagram edge.
+    S is the signed incidence between the triads and the M slots of the
+    slot table that :func:`capwaves.dynamics.build_system` reads too, and
+    the count is d - rank(residuals) of :func:`_law_pass`, the pass that
+    gives the system's ``quadratics``.  Momentum, c = k, is always
+    conserved, so that rank stops at d - 1.  For an isolated triad, pairs
+    and chains, and whenever S has full rank and no doubled mode is shared,
+    this is the paper's 2N - n with n the shared-mode identifications
+    (:func:`identification_count`); three or more triads on one mode still
+    remove one law per identification, not per diagram edge.
     """
     modes, slots = _slot_table(cluster.triads)
-    # (slot, coefficient) per triad; a merged doubled slot counts twice
+    d, _, residuals = _law_pass(slots, len(modes))
+    return d - _rank(residuals, cap=d - 1)
+
+
+def _law_pass(slots: list[tuple[int, int, int]], n_slots: int):
+    """The laws {c : c_s1 + c_s2 = c_s3 on every slot row (s1, s2, s3)} as
+    (d, forms, residuals); s1 == s2 is a merged doubled slot, counted twice.
+
+    Each slot's coefficient is an integer linear form {parameter: factor} in
+    d parameters: the most carried open slot becomes a parameter, and a row
+    with one open slot of coefficient +-1 fixes that slot by additions
+    alone.  The residuals are the rows that fix no slot, as integer rows
+    over the parameters; the laws are the forms on their null space.
+    """
+    # (slot, coefficient) per row; a merged doubled slot counts twice
     rows = [[(s1, 2), (s3, -1)] if s1 == s2 else [(s1, 1), (s2, 1), (s3, -1)]
             for s1, s2, s3 in slots]
-    carriers: list[list[int]] = [[] for _ in modes]
+    carriers: list[list[int]] = [[] for _ in range(n_slots)]
     for r, row in enumerate(rows):
         for slot, _ in row:
             carriers[slot].append(r)
-    n_slots = len(carriers)
     open_in_row = [len(row) for row in rows]
     forms: list[dict[int, int] | None] = [None] * n_slots
-    fixed_by = [False] * len(rows)
     constraints: list[int] = []
     ready: list[int] = []
 
@@ -353,7 +354,7 @@ def conservation_count(cluster: ClusterGraph) -> int:
             open_in_row[r] -= 1
             if open_in_row[r] == 1:
                 ready.append(r)
-            elif open_in_row[r] == 0 and not fixed_by[r]:
+            elif open_in_row[r] == 0:
                 constraints.append(r)
 
     seeds = iter(sorted(range(n_slots), key=lambda m: -len(carriers[m])))
@@ -371,7 +372,7 @@ def conservation_count(cluster: ClusterGraph) -> int:
                 if m != slot:
                     for p, x in forms[m].items():
                         form[p] = form.get(p, 0) - coef * c * x
-            fixed_by[r] = True
+            open_in_row[r] = 0  # settled below to -1: a fixing row is no constraint
             settle(slot, {p: x for p, x in form.items() if x})
         seed = next((m for m in seeds if forms[m] is None), None)
         if seed is None:
@@ -385,7 +386,73 @@ def conservation_count(cluster: ClusterGraph) -> int:
             for p, x in forms[m].items():
                 vec[p] += c * x
         residuals.append(vec)
-    return d - _rank(residuals, cap=d - 1)
+    return d, forms, residuals
+
+
+def _law_basis(slots: list[tuple[int, int, int]], n_slots: int) -> list[list[int]]:
+    """Primitive basis of the laws of :func:`_law_pass`, reduced with pivots
+    from the rightmost slot, by pivot slot: the basis that
+    :func:`_integer_nullspace` gives on the rows of S^T."""
+    d, forms, residuals = _law_pass(slots, n_slots)
+    laws = [[sum(x[p] * c for p, c in form.items()) for form in forms]
+            for x in _integer_nullspace(residuals, d)]
+    # a seed slot's form is its own parameter, so every law takes a pivot
+    rows, _ = _gauss_jordan(laws, range(n_slots - 1, -1, -1))
+    return [_primitive(row) for row in reversed(rows)]
+
+
+def _gauss_jordan(rows: list[list[int]], columns: Iterable[int]):
+    """Fraction-free reduced row echelon form of integer rows, pivoting on the
+    columns in the given order: the rows, pivot rows first in pivot order,
+    and the pivot columns."""
+    rows = [row[:] for row in rows]
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in columns:
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow, p = rows[r], rows[r][col]
+        for i in range(nrows):
+            f = rows[i][col]
+            if i != r and f != 0:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = math.gcd(*row) or 1
+                rows[i] = [a // g for a in row]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _integer_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of {x : rows @ x = 0} by fraction-free Gauss-Jordan.
+
+    Each vector is the free-column solution of the reduced row echelon form,
+    in :func:`_primitive` form.  The reduced form is unique, so this is the
+    basis exact rational elimination gives.
+    """
+    rows, pivots = _gauss_jordan(rows, range(ncols))
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        # x[free] = 1, x[pivot] = -row[free] / row[pivot], times the common denominator
+        used = [(row, c) for row, c in zip(rows, pivots) if row[free] != 0]
+        denom = math.lcm(*(row[c] for row, c in used))
+        v = [0] * ncols
+        v[free] = denom
+        for row, c in used:
+            v[c] = -row[free] * (denom // row[c])
+        basis.append(_primitive(v))
+    return basis
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """A nonzero integer vector over the gcd of its entries, signed so that
+    its first nonzero entry is positive."""
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return [x // g for x in v]
 
 
 def _rank(rows: list[list[int]], cap: int) -> int:

@@ -8,10 +8,10 @@ on its three mode slots; slots are shared between triads according to the
 cluster's shared wavenumber values, which couples the systems.  The
 Hamiltonian is the coupling-weighted sum of the triple-product imaginaries
 (for a single triad this is Z Im(B1 B2 B3*), i.e. Z times the bare
-triple-product invariant).  Quadratic invariants are obtained by exact integer
-elimination as the null space of the transposed signed incidence matrix
-between modes and triads, whose rows are read straight off the system's one
-slot table (the slot indices and coupling of every triad).
+triple-product invariant).  A doubled value that another triad shares is one
+slot, on which its k1 = k2 triad's terms add twice (see :func:`build_system`).
+The quadratic invariants come from the integer pass over the slot rows that
+:func:`capwaves.clustering.conservation_count` counts on.
 
 Integration is the explicit adaptive Runge-Kutta pair DOP853 with dense
 output, stepped by the library's own loop: it repeats scipy's DOP853
@@ -28,7 +28,7 @@ place on the whole stacks.  They are evaluated with scipy's own arithmetic,
 so the values are bit-identical to scipy's OdeSolution, at a fraction of the
 cost per call; scalar times convert their step's rows to Python values once
 while they stay in that step, and one slot can be evaluated alone.  The
-exact invariant basis is eliminated once per system and kept on it.
+exact invariant basis is built once per system and kept on it.
 
 The right-hand side loops over the triads on Python complex numbers: cheaper
 per call than numpy scalars at every size, and than a numpy gather for small
@@ -44,7 +44,6 @@ every integration owns its state.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +52,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import minimize_scalar
 
-from .clustering import ClusterGraph, _slot_table
+from .clustering import ClusterGraph, _law_basis, _slot_table
 
 __all__ = [
     "TriadTerm",
@@ -93,13 +92,12 @@ class ClusterSystem:
 
     :func:`build_system` reads both off the cluster's slot table, the one
     that :func:`capwaves.clustering.conservation_count` counts laws on.
-    Slot count M = 3N - n with n the number of shared-mode identifications.
     Every other view of the table (``term_rows``, ``term_arrays``,
     ``incidence``, ``quadratics``) is derived from ``terms`` when first asked
     for.
     """
 
-    modes: tuple[int, ...]  # wavenumber per slot; k1 = k2 triads carry two slots
+    modes: tuple[int, ...]  # wavenumber per slot; an unshared doubled value has two
     terms: tuple[TriadTerm, ...]
 
     @property
@@ -123,30 +121,22 @@ class ClusterSystem:
 
     @cached_property
     def incidence(self) -> np.ndarray:
-        """Signed incidence (M, N): +1 where slot m is a passive mode of triad j,
-        -1 where it is the active mode, 0 otherwise."""
-        return np.array(_incidence_rows(self), dtype=int).T
+        """Signed incidence (M, N): +1 where slot m is a passive mode of triad j
+        (+2 on a merged doubled slot), -1 where it is the active mode, 0
+        otherwise."""
+        index, _ = self.term_arrays
+        out = np.zeros((self.n_modes, self.n_triads), dtype=int)
+        np.add.at(out, (index, np.arange(self.n_triads)), [[1], [1], [-1]])
+        return out
 
     @cached_property
     def quadratics(self) -> np.ndarray:
-        """Read-only integer basis (K, M) of the conserved quadratics, eliminated
+        """Read-only integer basis (K, M) of the conserved quadratics, built
         once per system; :func:`conserved_quadratics` returns it."""
-        basis = _integer_nullspace(_incidence_rows(self), self.n_modes)
+        basis = _law_basis([row[:3] for row in self.term_rows], self.n_modes)
         out = np.array(basis, dtype=np.int64).reshape(len(basis), self.n_modes)
         out.flags.writeable = False
         return out
-
-
-def _incidence_rows(system: ClusterSystem) -> list[list[int]]:
-    """Rows of the transposed incidence S^T, one per triad, as Python ints."""
-    rows = []
-    for m1, m2, m3, _ in system.term_rows:
-        row = [0] * system.n_modes
-        row[m1] += 1
-        row[m2] += 1
-        row[m3] -= 1
-        rows.append(row)
-    return rows
 
 
 class IntegrationError(RuntimeError):
@@ -163,20 +153,15 @@ def build_system(cluster: ClusterGraph) -> ClusterSystem:
 
     The slots and each triad's row are the cluster's one slot table, which
     :func:`capwaves.clustering.conservation_count` reads too: one slot per
-    shared wavenumber value, in order of first appearance.  A triad with
-    k1 = k2 keeps two distinct slots for the duplicated value (the published
-    two-triad systems treat them as independent variables); if such a value
-    is additionally shared with another triad, the table merges it into one
-    slot, which this system does not model, and a structural error is raised.
+    shared wavenumber value, in order of first appearance.  A k1 = k2 triad
+    alone on its value keeps two slots for it, as the published two-triad
+    systems do.  A doubled value that another triad shares takes one slot
+    (m1 == m2), on which the doubled term adds twice: the canonical system
+    with the slots identified, law row 2 c_k = c_2k, to which the two-slot
+    system on B1 = B2 = B maps under B_k = B/sqrt(2), B_2k = B3/2.
     """
     triads = cluster.triads
     modes, slots = _slot_table(triads)
-    for t, (s1, s2, _) in zip(triads, slots):
-        if s1 == s2:
-            raise ValueError(
-                f"inconsistent sharing: value {t.k1} is duplicated inside triad "
-                f"{t.wavenumbers} and shared with another triad"
-            )
     terms = tuple(TriadTerm(*row, t.z) for t, row in zip(triads, slots))
     return ClusterSystem(modes=tuple(modes), terms=terms)
 
@@ -228,74 +213,17 @@ def hamiltonian(system: ClusterSystem, state: np.ndarray) -> float | np.ndarray:
     return float(h) if h.ndim == 0 else h
 
 
-def _integer_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of {x : rows @ x = 0} by fraction-free Gauss-Jordan.
-
-    Each vector is the free-column solution of the reduced row echelon form,
-    scaled to coprime integers with a positive leading entry.  The reduced
-    form is unique, so this is the basis exact rational elimination gives.
-    """
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(nrows):
-            f = rows[i][col]
-            if i != r and f != 0:
-                row = [p * a - f * b for a, b in zip(rows[i], prow)]
-                g = math.gcd(*row) or 1
-                rows[i] = [a // g for a in row]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivots:
-            continue
-        # x[free] = 1 and x[pivot] = -rows[rr][free] / rows[rr][pivot], times
-        # the common denominator
-        used = [(rr, c) for rr, c in enumerate(pivots) if rows[rr][free_col] != 0]
-        denom = math.lcm(*(rows[rr][c] for rr, c in used)) if used else 1
-        v = [0] * ncols
-        v[free_col] = denom
-        for rr, c in used:
-            v[c] = -rows[rr][free_col] * (denom // rows[rr][c])
-        g = math.gcd(*v)
-        v = [x // g for x in v]
-        if next(x for x in v if x != 0) < 0:
-            v = [-x for x in v]
-        basis.append(v)
-    return basis
-
-
 def conserved_quadratics(system: ClusterSystem) -> np.ndarray:
     """Integer basis of the conserved quadratics sum_m c_m |B_m|².
 
-    The coefficient vectors span the null space of the transposed incidence
-    matrix, computed by exact integer elimination in primitive integer form.
-    The dimension is M - rank(S); with a full-rank incidence (true for all
-    published cluster topologies) this equals M - N, which is 2N - n, the
-    Manley-Rowe count for N triads with n = 3N - M shared-mode identifications.
-    The basis is the system's read-only ``quadratics``, eliminated on the first
-    call; a rank-deficient incidence warns on every call.
+    The rows span the null space of the transposed incidence in primitive
+    integer form, the basis exact rational elimination gives.  It is built
+    from the pass that :func:`capwaves.clustering.conservation_count` counts
+    on, so its length is M - rank(S), that count; for the published cluster
+    topologies this is the Manley-Rowe count 2N - n.  The basis is the
+    system's read-only ``quadratics``, built on the first call.
     """
-    basis = system.quadratics
-    expected = system.n_modes - system.n_triads
-    if len(basis) != expected:
-        warnings.warn(
-            f"conserved-quadratic dimension {len(basis)} differs from 2N - n = {expected}: "
-            "rank-deficient incidence",
-            stacklevel=2,
-        )
-    return basis
+    return system.quadratics
 
 
 def dynamical_phases(system: ClusterSystem, state: np.ndarray) -> np.ndarray:

@@ -42,14 +42,22 @@ import workloads  # noqa: E402
 # before clustering read triads as columns; their order fixes the states a
 # pass draws, and so the drift failures it counts
 FLOW_CLUSTERS_SHA256 = "0e4368cd840816c42cec17f31917f95905fa9cbb7bc1d67eeab53ef6507648e8"
-# sha256 of the slot tables, (modes, term_rows), that build_system gives the
-# flow clusters and the multi-triad clusters it accepts at kmax 100, eps 1e-2,
-# recorded before build_system and conservation_count shared one slot table;
-# the slot order fixes the states cluster_flow draws and trajectory.csv
+# sha256 of the slot tables, (modes, term_rows), and of the invariant bases,
+# [q.tolist() for each system's quadratics], that build_system gives the flow
+# clusters and the multi-triad clusters at kmax 100, eps 1e-2 that have no
+# merged doubled slot (m1 == m2); the tables were recorded before
+# build_system and conservation_count shared one slot table, the bases while
+# the basis was still eliminated from the rows of S^T.  The slot order fixes
+# the states cluster_flow draws and trajectory.csv, the bases its invariants.
 SLOT_TABLES_SHA256 = {
-    "flow": "79eb2d9e36edb6ed3f3507b96f74adf48948873d5a423bce3d9fc9e1df455a2b",
-    "kmax100-0.01": "2a95aaf8636822ff181c4d4604945befe09520851637c8786bd83629a15d79d7",
+    "flow": ("79eb2d9e36edb6ed3f3507b96f74adf48948873d5a423bce3d9fc9e1df455a2b",
+             "f9c7faa0571a5f54e8c887f1010a5f8c496b43469c48bd2d3b42b22ba6248d7b"),
+    "kmax100-0.01": ("2a95aaf8636822ff181c4d4604945befe09520851637c8786bd83629a15d79d7",
+                     "8e3fdd46f4ddffacfaa5d5ecc5f2ba2f80007c5665acff9e563b2d660f4bc918"),
 }
+# sha256 of all 110 slot tables at kmax 100, eps 1e-2, the two giants' merged
+# slots included, recorded once build_system accepted them
+ALL_TABLES_SHA256 = "aeafca9de2b5bba44abdf4f7e6ae4bea367d3d10b963e5138b9f8d24844b3166"
 
 
 @pytest.mark.parametrize(
@@ -98,24 +106,25 @@ def test_flow_clusters_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == FLOW_CLUSTERS_SHA256
 
 
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(SLOT_TABLES_SHA256))
 def test_slot_tables_are_pinned(params_unit, name):
     if name == "flow":
         clusters = _flow_clusters()
     else:
         clusters = build_clusters(enumerate_triads(100, params_unit), 1e-2)
-    tables = []
-    for cluster in clusters:
-        if cluster.size == 1:
-            continue
-        try:
-            system = build_system(cluster)
-        except ValueError:  # a doubled value shared with another triad
-            continue
-        tables.append((system.modes, system.term_rows))
-    assert len(tables) == (9 if name == "flow" else 108)
-    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
-    assert digest == SLOT_TABLES_SHA256[name]
+    systems = [build_system(cluster) for cluster in clusters if cluster.size > 1]
+    assert len(systems) == (9 if name == "flow" else 110)
+    if name != "flow":
+        assert _sha256([(s.modes, s.term_rows) for s in systems]) == ALL_TABLES_SHA256
+    unmerged = [s for s in systems if all(m1 != m2 for m1, m2, _, _ in s.term_rows)]
+    assert len(unmerged) == (9 if name == "flow" else 108)
+    tables_digest, bases_digest = SLOT_TABLES_SHA256[name]
+    assert _sha256([(s.modes, s.term_rows) for s in unmerged]) == tables_digest
+    assert _sha256([s.quadratics.tolist() for s in unmerged]) == bases_digest
 
 
 @cache

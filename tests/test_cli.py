@@ -7,8 +7,14 @@ import pytest
 
 import capwaves.acceptance
 import capwaves.cli
-import capwaves.dynamics
-from capwaves import FluidParams, build_clusters, enumerate_triads, min_resonant_vorticity
+import capwaves.clustering
+from capwaves import (
+    FluidParams,
+    build_clusters,
+    build_system,
+    enumerate_triads,
+    min_resonant_vorticity,
+)
 from capwaves.acceptance import CheckResult
 from capwaves.cli import RunConfig, main, parse_config, serialize_config
 from capwaves.dynamics import IntegrationError
@@ -280,10 +286,10 @@ def _isolated_cluster_id(kmax: int, sigma: float, epsilon: float, triple) -> int
 
 
 class TestSimulate:
-    def _config(self, tmp_path, initial_lines, triple=(1, 2, 3)):
+    def _config(self, tmp_path, initial_lines, triple=(1, 2, 3), scalars=""):
         cid = _isolated_cluster_id(8, 1.0, 1e-8, triple)
         text = (
-            "sigma = 1.0\nkmax = 8\nepsilon = 1e-08\nt_end = 8.0\n"
+            scalars + "sigma = 1.0\nkmax = 8\nepsilon = 1e-08\nt_end = 8.0\n"
             f"tol = 1e-10\nsamples = 200\ncluster_id = {cid}\n"
             f"out = {tmp_path / 'run'}\n\n[initial]\n" + "\n".join(initial_lines) + "\n"
         )
@@ -333,21 +339,52 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--cluster-id", "99999"]) == 2
 
     @pytest.mark.parametrize(
-        "initial, flags",
+        "initial, flags, scalars, error",
         [
-            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--cluster-id", "99999"]),
-            (["1 1.0 0.0", "2 0.8 0.0"], []),
-            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0", "7 1.0 0.0"], []),
-            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--tol", "1e-16"]),
-            (["1 1.0 0.0", "2 0.5 0.0", "2 0.9 0.1", "3 0.5 0.0"], []),
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--cluster-id", "99999"], "",
+             "cluster_id 99999 out of range"),
+            (["1 1.0 0.0", "2 0.8 0.0"], [], "", "missing initial conditions"),
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0", "7 1.0 0.0"], [], "", "not in cluster"),
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], ["--tol", "1e-16"], "", "tol must be"),
+            (["1 1.0 0.0", "2 0.5 0.0", "2 0.9 0.1", "3 0.5 0.0"], [], "",
+             "duplicated wavenumber 2"),
+            (["1 1.0 0.0", "2 0.8 0.0", "3 0.5 0.0"], [], "kmax = 12\n",
+             "line 3: duplicated key 'kmax'"),
+            (["1 nan 0.0", "2 0.8 0.0", "3 0.5 0.0"], [], "",
+             "line 11: amplitude and phase must be finite"),
         ],
-        ids=["cluster-id", "missing", "unknown", "tol-floor", "duplicate"],
+        ids=["cluster-id", "missing", "unknown", "tol-floor", "duplicate", "duplicate-key",
+             "non-finite"],
     )
-    def test_usage_error_writes_nothing(self, tmp_path, capsys, initial, flags):
-        config = self._config(tmp_path, initial)
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, initial, flags, scalars, error):
+        config = self._config(tmp_path, initial, scalars=scalars)
         assert main(["simulate", "--config", str(config), *flags]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and error in line
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cluster_id, n_modes", [(0, 127), (1, 151)])
+    def test_giants_simulate(self, tmp_path, capsys, cluster_id, n_modes):
+        # the kmax 100, eps 1e-2 giants share doubled values, each on one slot
+        clusters = build_clusters(enumerate_triads(100, FluidParams(1.0)), 1e-2)
+        modes = build_system(clusters[cluster_id]).modes
+        assert len(modes) == n_modes
+        rng = np.random.default_rng(20100423)
+        initial = [f"{k} {amp!r} {theta!r}" for k, amp, theta in zip(
+            modes, rng.uniform(0.4, 1.2, n_modes).tolist(),
+            rng.uniform(-np.pi, np.pi, n_modes).tolist())]
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f"sigma = 1.0\nkmax = 100\nepsilon = 0.01\nt_end = 2.0\nsamples = 200\n"
+            f"cluster_id = {cluster_id}\nout = {tmp_path / 'run'}\n\n[initial]\n"
+            + "\n".join(initial) + "\n"
+        )
+        assert main(["simulate", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        drifts = captured.out.split("max invariant drift ")[1].split("\n")[0]
+        quadratic, hamiltonian = drifts.split(", Hamiltonian drift ")
+        assert float(quadratic) < 1e-8 and float(hamiltonian) < 1e-8
 
     def test_integration_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         message = "integration failed at t=0.25: Required step size is less than spacing"
@@ -375,13 +412,13 @@ class TestSimulate:
         assert not (tmp_path / "run").exists()
 
     def test_basis_eliminated_once_per_run(self, tmp_path, capsys, monkeypatch):
-        nullspace, calls = capwaves.dynamics._integer_nullspace, []
+        law_pass, calls = capwaves.clustering._law_pass, []
 
         def counted(*args):
             calls.append(1)
-            return nullspace(*args)
+            return law_pass(*args)
 
-        monkeypatch.setattr(capwaves.dynamics, "_integer_nullspace", counted)
+        monkeypatch.setattr(capwaves.clustering, "_law_pass", counted)
         config = self._config(tmp_path, ["1 1.0 0.0", "2 0.8 0.3", "3 0.5 -0.2"])
         assert main(["simulate", "--config", str(config)]) == 0
         assert len(calls) == 1

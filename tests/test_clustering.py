@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import warnings
 from collections import Counter, defaultdict
 from functools import cache
 
@@ -25,7 +24,7 @@ from capwaves import (
     identification_count,
 )
 from capwaves.cli import _cluster_summary
-from capwaves.dynamics import _integer_nullspace, conserved_quadratics
+from capwaves.clustering import _integer_nullspace
 
 PAIRS_1E4 = {
     frozenset({(20, 94, 114), (24, 70, 94)}),
@@ -189,6 +188,8 @@ class TestConservationCount:
         giant, second = build_clusters(triads_100, 1e-2)[:2]
         assert (giant.size, conservation_count(giant)) == (1687, 1)
         assert (second.size, conservation_count(second)) == (1601, 2)
+        assert len(build_system(giant).quadratics) == 1
+        assert len(build_system(second).quadratics) == 2
 
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
     def test_equals_paper_count_where_the_system_is_built(self, triads_100, epsilon):
@@ -200,14 +201,17 @@ class TestConservationCount:
                 assert count == 2 * cluster.size - identification_count(cluster)
 
     def test_shared_doubled_mode_takes_one_slot(self, triads_by_wn):
-        # 3 is doubled in (3, 3, 6) and shared with (1, 2, 3): slots 3, 6, 1, 2
-        # and rows 2 c3 = c6, c1 + c2 = c3 leave two laws; two slots for the
+        # 3 is doubled in (3, 3, 6) and shared with (1, 2, 3): slots 1, 2, 3, 6
+        # and rows c1 + c2 = c3, 2 c3 = c6 leave two laws; two slots for the
         # doubled 3 would leave three
         pair = [triads_by_wn[(3, 3, 6)], triads_by_wn[(1, 2, 3)]]
         [cluster] = build_clusters(pair, 0.99)
         assert conservation_count(cluster) == 2
-        with pytest.raises(ValueError, match="inconsistent sharing"):
-            build_system(cluster)
+        system = build_system(cluster)
+        assert system.modes == (1, 2, 3, 6)
+        assert [row[:3] for row in system.term_rows] == [(0, 1, 2), (2, 2, 3)]
+        assert system.incidence.tolist() == [[1, 0], [1, 0], [-1, 2], [0, -1]]
+        assert len(system.quadratics) == 2
 
 
 def _law_rows(triads) -> tuple[list[list[int]], int]:
@@ -234,8 +238,9 @@ def _small_domain(kmax: int):
 class TestLawCountAgainstElimination:
     """conservation_count propagates integer forms; on random sub-clusters,
     doubled modes shared or not, it must equal the dimension of the null
-    space that exact elimination finds on the same slots, and the size of
-    build_system's basis wherever build_system accepts the cluster."""
+    space that exact elimination finds on the same slots, and build_system's
+    basis, from the same propagation, must be the basis that elimination
+    finds on the system's own incidence."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
@@ -249,15 +254,11 @@ class TestLawCountAgainstElimination:
             count = conservation_count(cluster)
             rows, n_slots = _law_rows(cluster.triads)
             assert count == len(_integer_nullspace(rows, n_slots))
-            try:
-                system = build_system(cluster)
-            except ValueError:  # a doubled mode shared with another triad
-                assert any(t.k1 == t.k2 and any(t.k1 in u.wavenumbers for u in cluster.triads
-                                                if u != t) for t in cluster.triads)
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # rank-deficient incidences warn
-                assert count == len(conserved_quadratics(system))
+            system = build_system(cluster)
+            basis = system.quadratics
+            assert basis.tolist() == _integer_nullspace(system.incidence.T.tolist(),
+                                                        system.n_modes)
+            assert not (system.incidence.T @ basis.T).any()
 
     def test_hand_built_doubled_cases(self):
         cases = [

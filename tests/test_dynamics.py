@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import capwaves.clustering
 import capwaves.dynamics
 from capwaves import (
     ClusterSystem,
@@ -16,6 +17,7 @@ from capwaves import (
     build_clusters,
     build_system,
     characteristic_time,
+    conservation_count,
     conserved_quadratics,
     dynamical_phases,
     enumerate_triads,
@@ -114,13 +116,45 @@ class TestBuildSystem:
         assert four_star.n_modes == 9
         assert np.linalg.matrix_rank(four_star.incidence.astype(float)) == 4
 
-    def test_duplicated_and_shared_value_rejected(self, triads_by_wn):
-        # (5,5,10) duplicates 5 internally while (4,5,9) shares it
-        [cluster] = build_clusters(
-            [triads_by_wn[(5, 5, 10)], triads_by_wn[(4, 5, 9)]], 0.9
-        )
-        with pytest.raises(ValueError, match="inconsistent sharing"):
-            build_system(cluster)
+    def test_duplicated_and_shared_value_merges(self, triads_by_wn):
+        # (5,5,10) duplicates 5 internally while (4,5,9) shares it, and
+        # (3,3,6) duplicates 3 while (1,2,3) shares it: one slot each, on
+        # which the doubled term adds twice
+        rng = np.random.default_rng(11)
+        for pair in [[(5, 5, 10), (4, 5, 9)], [(3, 3, 6), (1, 2, 3)]]:
+            [cluster] = build_clusters([triads_by_wn[wn] for wn in pair], 0.99)
+            system = build_system(cluster)
+            [doubled] = [t for t in system.terms if system.modes[t.m1] == system.modes[t.m2]]
+            assert doubled.m1 == doubled.m2
+            basis = conserved_quadratics(system)
+            assert len(basis) == conservation_count(cluster)
+            # momentum, c = k, is in the span of the basis
+            momentum = np.array(system.modes)
+            assert np.linalg.matrix_rank(np.vstack([basis, momentum])) == len(basis)
+            b0 = rng.uniform(0.4, 1.2, system.n_modes) * np.exp(
+                1j * rng.uniform(-np.pi, np.pi, system.n_modes)
+            )
+            t_end = 50.0 * characteristic_time(system, b0)
+            traj = integrate(system, b0, t_end, tol=1e-10, samples=400)
+            drift = drift_report(system, basis, b0, traj)
+            assert drift.hamiltonian < 1e-8 and drift.quadratic < 1e-8
+
+    def test_lone_doubled_triad_maps_to_the_merged_slot(self, triads_by_wn):
+        # the two-slot (5,5,10) on B1 = B2 = B is the one-slot system, whose
+        # doubled term adds twice, under B_5 = B / sqrt(2), B_10 = B3 / 2
+        [cluster] = build_clusters([triads_by_wn[(5, 5, 10)]], 1e-3)
+        two_slot = build_system(cluster)
+        assert two_slot.modes == (5, 5, 10)
+        z = two_slot.terms[0].z
+        merged = ClusterSystem(modes=(5, 10), terms=(TriadTerm(0, 0, 1, z),))
+        b, b3 = 0.9 * np.exp(0.3j), 0.6 * np.exp(-1.1j)
+        start = np.array([b, b, b3])
+        t_end = 20.0 * characteristic_time(two_slot, start)
+        times = np.linspace(0.0, t_end, 200)
+        states = solve_dense(two_slot, start, t_end, 1e-12)(times)
+        mapped = solve_dense(merged, np.array([b / math.sqrt(2), b3 / 2]), t_end, 1e-12)(times)
+        np.testing.assert_allclose(mapped[0], states[0] / math.sqrt(2), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(mapped[1], states[2] / 2, rtol=0, atol=1e-10)
 
     def test_kite_matches_hand_coded_system(self, triads_by_wn):
         # two triads glued through both a joint passive mode (2) and an
@@ -338,10 +372,7 @@ class TestConservedQuadraticsExactness:
             st.lists(st.sampled_from(cluster.triads), min_size=1, unique=True)
         )
         for part in build_clusters(subset, 1e-3):
-            try:
-                system = build_system(part)
-            except ValueError:  # a doubled value shared with another triad
-                continue
+            system = build_system(part)
             basis = conserved_quadratics(system)
             np.testing.assert_array_equal(basis, _fraction_basis(system))
             assert not (system.incidence.T @ basis.T).any()
@@ -366,13 +397,13 @@ class TestConservedQuadratics:
         np.testing.assert_array_equal(system.incidence, [[1], [1], [-1]])
 
     def test_eliminated_once_per_system(self, triads_by_wn, monkeypatch):
-        nullspace, calls = capwaves.dynamics._integer_nullspace, []
+        law_pass, calls = capwaves.clustering._law_pass, []
 
         def counted(*args):
             calls.append(1)
-            return nullspace(*args)
+            return law_pass(*args)
 
-        monkeypatch.setattr(capwaves.dynamics, "_integer_nullspace", counted)
+        monkeypatch.setattr(capwaves.clustering, "_law_pass", counted)
         [cluster] = build_clusters([triads_by_wn[(5, 7, 12)]], 1e-3)
         system = build_system(cluster)
         basis = conserved_quadratics(system)
@@ -382,17 +413,16 @@ class TestConservedQuadratics:
         assert len(calls) == 1
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0] = 7
-        conserved_quadratics(build_system(cluster))  # a new system eliminates its own
+        conserved_quadratics(build_system(cluster))  # a new system builds its own
         assert len(calls) == 2
 
-    def test_rank_deficiency_warns_on_every_call(self):
-        # two triads on the same three slots: rank 1, so M - rank = 2 > M - N = 1
+    def test_rank_deficient_incidence_keeps_its_laws(self):
+        # two triads on the same three slots: rank 1, so M - rank = 2 > M - N = 1;
+        # the suite turns any warning into an error
         system = ClusterSystem(
             modes=(5, 7, 12), terms=(TriadTerm(0, 1, 2, 1.0), TriadTerm(0, 1, 2, 2.0))
         )
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="rank-deficient incidence"):
-                assert conserved_quadratics(system).shape == (2, 3)
+        assert conserved_quadratics(system).shape == (2, 3)
 
     def test_annihilates_incidence(self, three_star):
         basis = conserved_quadratics(three_star)
